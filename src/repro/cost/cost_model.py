@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.catalog.statistics import StatisticsCatalog
 from repro.core.terms import Constant, Variable
-from repro.runtime.batch import compiled_enabled
 from repro.cost.cardinality import CardinalityEstimator
 from repro.errors import CostModelError
 from repro.translation.grouping import AtomAccess, DelegationGroup
@@ -67,17 +66,11 @@ DEFAULT_PROFILES: Mapping[str, StoreCostProfile] = {
     "nested": StoreCostProfile(scan_row_cost=1.0, lookup_cost=1.2, request_overhead=8.0, parallelism=4.0),
 }
 
-_RUNTIME_ROW_COST = 0.8
-"""Mediator cost per row under the interpreted (dict-boundary) runtime."""
-
-_COMPILED_RUNTIME_ROW_COST = 0.3
-"""Mediator cost per row under the compiled native-batch runtime.
+_MEDIATOR_ROW_COST = 0.3
+"""Mediator cost per runtime-touched row.
 
 The compiled kernels resolve column positions once per batch and run fused
-Filter/Project/Output chains in a single pass, so a mediator-touched row is
-markedly cheaper than under the per-row dict interpretation — the cost model
-prices plans with the path that will actually execute them (bench e13
-measures the ratio).
+Filter/Project/Output chains in a single pass over tuple rows.
 """
 
 LATENCY_COST_PER_SECOND = 1000.0
@@ -267,13 +260,8 @@ class CostModel:
     # -- runtime pricing ---------------------------------------------------------------
     @staticmethod
     def runtime_row_cost() -> float:
-        """Mediator cost charged per runtime-touched row.
-
-        Reflects the execution path that is actually enabled: the compiled
-        native-batch kernels (``REPRO_COMPILED``, default on) or the
-        interpreted per-row fallback.
-        """
-        return _COMPILED_RUNTIME_ROW_COST if compiled_enabled() else _RUNTIME_ROW_COST
+        """Mediator cost charged per runtime-touched row."""
+        return _MEDIATOR_ROW_COST
 
     # -- group costs -------------------------------------------------------------------
     def _access_cost(self, access: AtomAccess, left_rows: float, bound: set[Variable]) -> tuple[float, float]:

@@ -5,6 +5,11 @@ equality predicates) becomes a :class:`ConjunctiveQuery`; everything the
 conjunctive pivot model cannot express — inequality predicates, aggregates,
 DISTINCT, LIMIT — is returned as *residual* work for the ESTOCADA runtime to
 apply on top of the rewritten plan.
+
+Every variable the residual work reads joins the pivot head, so the plan
+produces it even when the SELECT list does not name it; ``output_names``
+covers only the SELECT list, and the runtime projects to those outputs after
+filtering and aggregation.
 """
 
 from __future__ import annotations
@@ -47,7 +52,15 @@ class ResidualAggregation:
 
 @dataclass(slots=True)
 class TranslatedQuery:
-    """The pivot query plus the residual (non-conjunctive) work."""
+    """The pivot query plus the residual (non-conjunctive) work.
+
+    ``output_names`` names the leading head terms — the SELECT list; the head
+    terms after them are the variables only the residual work reads.
+    ``bound_columns`` holds (variable, constant) pairs for variables the
+    residual work reads but an equality predicate pinned to a constant: the
+    pivot query carries the constant instead of the variable, so the runtime
+    supplies the column itself.
+    """
 
     query: ConjunctiveQuery
     output_names: tuple[str, ...]
@@ -55,6 +68,7 @@ class TranslatedQuery:
     aggregation: ResidualAggregation | None = None
     distinct: bool = False
     limit: int | None = None
+    bound_columns: tuple[tuple[str, object], ...] = ()
 
 
 class SqlTranslator:
@@ -92,9 +106,25 @@ class SqlTranslator:
 
         atoms = self._build_atoms(alias_to_table, union_find, constants)
         head_terms, output_names = self._build_head(statement, alias_to_table, union_find, constants)
-        query = ConjunctiveQuery(self._query_name, head_terms, atoms, name=self._query_name)
-
         aggregation = self._build_aggregation(statement, alias_to_table, union_find)
+
+        # The residual work runs above the plan's terminal projection, so
+        # every variable it reads must be in the head.
+        read = [p.variable for p in residual]
+        read += [p.value for p in residual if p.value_is_column]
+        if aggregation is not None:
+            read += aggregation.group_by
+            read += [c for _, c in aggregation.aggregations.values() if c is not None]
+        bound_columns: dict[str, object] = {}
+        for variable in read:
+            if variable in constants:
+                bound_columns[variable] = constants[variable]
+            elif Variable(variable) not in head_terms:
+                head_terms.append(Variable(variable))
+        if not head_terms and aggregation is None:
+            raise TranslationError("the SELECT list resolves to no output columns")
+
+        query = ConjunctiveQuery(self._query_name, head_terms, atoms, name=self._query_name)
         return TranslatedQuery(
             query=query,
             output_names=output_names,
@@ -102,6 +132,7 @@ class SqlTranslator:
             aggregation=aggregation,
             distinct=statement.distinct,
             limit=statement.limit,
+            bound_columns=tuple(bound_columns.items()),
         )
 
     # -- helpers -----------------------------------------------------------------------
@@ -236,24 +267,6 @@ class SqlTranslator:
             variable = self._resolve_column(item.column, alias_to_table)
             head_terms.append(self._term_for(variable, union_find, constants))
             output_names.append(item.alias)
-        # Aggregate arguments and GROUP BY columns must be exposed by the
-        # conjunctive core so the runtime can aggregate on top of it.
-        for column in statement.group_by:
-            variable = self._resolve_column(column, alias_to_table)
-            term = self._term_for(variable, union_find, constants)
-            if term not in head_terms:
-                head_terms.append(term)
-                output_names.append(column.column)
-        for item in statement.aggregates():
-            if item.argument is None:
-                continue
-            variable = self._resolve_column(item.argument, alias_to_table)
-            term = self._term_for(variable, union_find, constants)
-            if term not in head_terms:
-                head_terms.append(term)
-                output_names.append(item.argument.column)
-        if not head_terms:
-            raise TranslationError("the SELECT list resolves to no output columns")
         return head_terms, tuple(output_names)
 
     def _build_aggregation(

@@ -11,14 +11,13 @@ Lowering decides *how* each logical step executes:
   the two is picked from the estimated left cardinality and the store's cost
   profile (per-probe lookups beat a full scan when the left side is small);
 * projection and duplicate elimination map onto the streaming
-  :class:`~repro.runtime.operators.Project` / ``Deduplicate`` operators; on
-  the compiled path (``REPRO_COMPILED``, default on) the facade's residual
-  assembly lowers the terminal Filter → Project → Output (→ LIMIT) chain
-  into kernel stages fused into a single
+  :class:`~repro.runtime.operators.Project` / ``Deduplicate`` operators; the
+  facade's residual assembly lowers the terminal Project → Filter → Output
+  (→ LIMIT) chain into kernel stages fused into a single
   :class:`~repro.runtime.kernels.FusedPipeline`
   (:func:`~repro.runtime.kernels.attach_stage`), and
   :func:`push_partial_aggregation` pattern-matches the fused projection
-  shape exactly like the interpreted one;
+  shape exactly like the planner's ``Project``;
 * every delegated store request — the independent subtrees of the plan:
   distinct delegation groups, the build and probe sides of hash joins — is
   wrapped in an :class:`~repro.runtime.parallel.Exchange` node, the explicit

@@ -1,10 +1,9 @@
 """Per-plan compiled kernels: batch-at-a-time closures over tuple rows.
 
-The interpreted runtime evaluates residual predicates, projections and output
-shaping row by row, rebuilding a binding dict per row just to call a
-``dict``-based predicate.  This module compiles those per-row interpretations
-into **kernels**: closures specialized against a batch schema exactly once,
-operating on plain row tuples by column *position*.
+The runtime evaluates residual predicates, projections and output shaping
+through **kernels**: closures specialized against a batch schema exactly
+once, operating on plain row tuples by column *position* — no per-row
+binding dict, no per-row column lookup.
 
 Three pieces:
 
@@ -15,19 +14,13 @@ Three pieces:
   extracts the key column(s) of an entire batch in one pass and represents
   single-column keys as bare scalars (no per-row tuple allocation);
 * **stages** (:class:`FilterStage`, :class:`ProjectStage`,
-  :class:`OutputStage`) — the declarative, fusable forms of the runtime's
-  Filter / Project / output-shaping operators.  Being data (not opaque
-  callables), stages can be concatenated by the physical-lowering fusion
-  pass;
+  :class:`ConstantStage`, :class:`OutputStage`) — the declarative, fusable
+  forms of residual selection, projection and output shaping.  Being data
+  (not opaque callables), stages can be concatenated by the
+  physical-lowering fusion pass;
 * :class:`FusedPipeline` — a single operator evaluating a chain of stages
   (plus an optional LIMIT) in one pass per batch: rows are filtered,
-  projected and reshaped without ever materializing the intermediate
-  batches the unfused operator chain would produce.
-
-``REPRO_COMPILED=0`` disables the whole compiled path (stores fall back to
-dict streams, residual work to the interpreted operators); ``REPRO_FUSED=0``
-keeps the compiled kernels but disables chain fusion — the benchmark uses
-the two switches to separate the wins.
+  projected and reshaped without ever materializing intermediate batches.
 """
 
 from __future__ import annotations
@@ -36,13 +29,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from repro.runtime.batch import RowBatch, compiled_enabled, fusion_enabled
+from repro.errors import ExecutionError
+from repro.runtime.batch import RowBatch
 from repro.runtime.operators import ExecutionContext, Operator
 from repro.stores.base import COMPARATORS
 
 __all__ = [
-    "compiled_enabled",
-    "fusion_enabled",
     "PredicateSpec",
     "ZoneBound",
     "extract_zone_bounds",
@@ -51,6 +43,7 @@ __all__ = [
     "key_kernel",
     "FilterStage",
     "ProjectStage",
+    "ConstantStage",
     "OutputStage",
     "FusedPipeline",
     "attach_stage",
@@ -67,9 +60,8 @@ class PredicateSpec:
     """One residual comparison, compilable against any batch schema.
 
     ``value`` is a literal, or — with ``value_is_column`` — the name of the
-    other column.  Semantics mirror the interpreted residual filters: a
-    ``None`` operand (or a column absent from the schema) fails the
-    comparison.
+    other column.  A ``None`` operand fails the comparison; a column absent
+    from the batch schema is a plan error (see :func:`predicate_kernel`).
     """
 
     column: str
@@ -128,25 +120,29 @@ def predicate_kernel(specs: Sequence[PredicateSpec], schema: Sequence[str]) -> R
 
     Column positions are resolved against ``schema`` here, once; the
     returned closure filters a whole row list with direct tuple indexing.
+    An operand column missing from ``schema`` raises
+    :class:`~repro.errors.ExecutionError`: the plan below the filter does
+    not produce a column the filter reads, and answering "no row qualifies"
+    would turn that plan bug into a silently empty answer.
     """
     schema = tuple(schema)
-    checks: list[tuple[int | None, Callable, object, bool]] = []
+
+    def position(column: str) -> int:
+        if column not in schema:
+            raise ExecutionError(
+                f"filter reads column {column!r}, which its input does not "
+                f"produce (columns: {list(schema)})"
+            )
+        return schema.index(column)
+
+    checks: list[tuple[int, Callable, object, bool]] = []
     for spec in specs:
         comparator = COMPARATORS[spec.op]
-        left = schema.index(spec.column) if spec.column in schema else None
+        left = position(spec.column)
         if spec.value_is_column:
-            right = schema.index(spec.value) if spec.value in schema else None
-            checks.append((left, comparator, right, True))
+            checks.append((left, comparator, position(spec.value), True))
         else:
             checks.append((left, comparator, spec.value, False))
-
-    if any(
-        left is None or (is_column and right is None)
-        for left, _, right, is_column in checks
-    ):
-        # A missing operand column means no row can satisfy the conjunction
-        # (the interpreted filter drops such rows one by one).
-        return lambda rows: []
 
     if len(checks) == 1:
         left, comparator, right, is_column = checks[0]
@@ -184,6 +180,9 @@ def projection_kernel(
     """A row-tuple transform selecting ``wanted`` columns (None when absent)."""
     schema = tuple(schema)
     indices = [schema.index(column) if column in schema else None for column in wanted]
+    if not indices:
+        # A boolean query projects every row to the empty tuple.
+        return lambda row: ()
     if all(index is not None for index in indices):
         if len(indices) == 1:
             only = indices[0]
@@ -223,7 +222,7 @@ def key_kernel(schema: Sequence[str], columns: Sequence[str]) -> Callable[[list]
 
 @dataclass(frozen=True, slots=True)
 class FilterStage:
-    """A conjunction of residual comparisons (the compiled Filter)."""
+    """A conjunction of residual comparisons."""
 
     specs: tuple[PredicateSpec, ...]
 
@@ -237,7 +236,7 @@ class FilterStage:
 
 @dataclass(frozen=True, slots=True)
 class ProjectStage:
-    """Keep only ``variables``, optionally renaming (the compiled Project)."""
+    """Keep only ``variables``, optionally renaming."""
 
     variables: tuple[str, ...]
     renaming: tuple[tuple[str, str], ...] = ()
@@ -253,54 +252,60 @@ class ProjectStage:
 
 
 @dataclass(frozen=True, slots=True)
+class ConstantStage:
+    """Append constant-valued columns to every row.
+
+    Supplies the columns of variables an equality predicate pinned to a
+    constant: the pivot query carries the constant instead of the variable,
+    but residual filters and aggregation may still read the column.
+    """
+
+    columns: tuple[tuple[str, object], ...]
+
+    def compile(self, schema: tuple[str, ...]) -> tuple[tuple[str, ...], RowsKernel]:
+        names = tuple(name for name, _ in self.columns)
+        tail = tuple(value for _, value in self.columns)
+        return schema + names, lambda rows: [row + tail for row in rows]
+
+    def describe(self) -> str:
+        return "const(" + ", ".join(f"{n}={v!r}" for n, v in self.columns) + ")"
+
+
+@dataclass(frozen=True, slots=True)
 class OutputStage:
-    """Rename head variables to output column names (the compiled Output).
+    """Project to the query's output columns, renaming variables.
 
     ``outputs`` holds one ``(name, is_variable, payload)`` triple per output
-    column: the payload is the head variable's name, or the constant value
-    for constant head terms.  Columns of the input schema that are neither
-    claimed outputs nor head variables (aggregation results, computed
-    extras) are appended unchanged — the exact semantics of the interpreted
-    ``Output`` operator.
+    column: the payload is the input column's name (a head variable or an
+    aggregation result), or the constant value for constant head terms.  A
+    variable absent from the input falls back to a same-named column, else
+    ``None``.  Every other input column is dropped.
     """
 
     outputs: tuple[tuple[str, bool, object], ...]
 
     def compile(self, schema: tuple[str, ...]) -> tuple[tuple[str, ...], RowsKernel]:
-        head_variables = {payload for _, is_var, payload in self.outputs if is_var}
-        plan: list[tuple[str, bool, object]] = []  # (name, is_constant, value/pos)
+        plan: list[tuple[bool, object]] = []  # (is_constant, value/pos)
         for name, is_var, payload in self.outputs:
-            if is_var:
-                if payload in schema:
-                    plan.append((name, False, schema.index(payload)))
-                elif name in schema:
-                    plan.append((name, False, schema.index(name)))
-                else:
-                    plan.append((name, True, None))
+            if not is_var:
+                plan.append((True, payload))
+            elif payload in schema:
+                plan.append((False, schema.index(payload)))
+            elif name in schema:
+                plan.append((False, schema.index(name)))
             else:
-                plan.append((name, True, payload))
-        taken = {name for name, _, _ in plan}
-        extras = [
-            (column, index)
-            for index, column in enumerate(schema)
-            if column not in taken and column not in head_variables
-        ]
-        output_schema = tuple(name for name, _, _ in plan) + tuple(c for c, _ in extras)
-        if not extras and all(not is_constant for _, is_constant, _ in plan):
-            indices = [position for _, _, position in plan]
+                plan.append((True, None))
+        output_schema = tuple(name for name, _, _ in self.outputs)
+        if all(not is_constant for is_constant, _ in plan):
+            indices = [position for _, position in plan]
             if len(indices) == 1:
                 only = indices[0]
                 return output_schema, lambda rows: [(row[only],) for row in rows]
             getter = itemgetter(*indices)
             return output_schema, lambda rows: [getter(row) for row in rows]
-        extra_positions = tuple(index for _, index in extras)
         plan_items = tuple(plan)
         return output_schema, lambda rows: [
-            tuple(
-                value if is_constant else row[value]
-                for _, is_constant, value in plan_items
-            )
-            + tuple(row[i] for i in extra_positions)
+            tuple(value if is_constant else row[value] for is_constant, value in plan_items)
             for row in rows
         ]
 
@@ -308,7 +313,7 @@ class OutputStage:
         return f"output({', '.join(name for name, _, _ in self.outputs)})"
 
 
-Stage = FilterStage | ProjectStage | OutputStage
+Stage = FilterStage | ProjectStage | ConstantStage | OutputStage
 
 
 class FusedPipeline(Operator):
@@ -319,8 +324,7 @@ class FusedPipeline(Operator):
     drift.  A batch makes a single pass through the compiled kernels — no
     intermediate :class:`RowBatch` objects, no per-row dict, no repeated
     column resolution.  The optional ``limit`` truncates the final stream
-    and abandons the upstream pipeline early, like the interpreted Output
-    operator.
+    and abandons the upstream pipeline early.
     """
 
     def __init__(
@@ -393,19 +397,12 @@ def attach_stage(
 ) -> FusedPipeline:
     """Attach one compiled stage (and/or a LIMIT) above ``root``, fusing chains.
 
-    This is the fusion primitive of the physical lowering: with
-    ``REPRO_FUSED`` on, a stage attached to a :class:`FusedPipeline` that has
-    no terminal LIMIT is *absorbed* into it — consecutive
-    Filter → Project → Output (→ LIMIT) steps collapse into one operator.
-    With fusion off every stage stays its own single-stage pipeline, so the
-    compiled kernels still run but each step materializes its own batch
-    stream (the benchmark separates the two wins with exactly this switch).
+    This is the fusion primitive of the physical lowering: a stage attached
+    to a :class:`FusedPipeline` that has no terminal LIMIT is *absorbed* into
+    it — consecutive Filter → Project → Output (→ LIMIT) steps collapse into
+    one operator.
     """
     stages = () if stage is None else (stage,)
-    if (
-        fusion_enabled()
-        and isinstance(root, FusedPipeline)
-        and root.limit is None
-    ):
+    if isinstance(root, FusedPipeline) and root.limit is None:
         return FusedPipeline(root.child, root.stages + stages, limit)
     return FusedPipeline(root, stages, limit)

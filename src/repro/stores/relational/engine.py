@@ -194,12 +194,17 @@ class RelationalStore(Store):
             raise self._reject("full-text search")
         raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        table = self.table(request.collection)
-        metrics = StoreMetrics()
-        candidate_positions: Sequence[int] | None = None
+    @staticmethod
+    def _index_candidates(
+        table, request: ScanRequest, metrics: StoreMetrics
+    ) -> Sequence[int] | None:
+        """Row positions from the most selective equality index, or None.
 
-        # Use the most selective available index for an equality predicate.
+        Every indexed equality predicate costs one index lookup (counted in
+        ``metrics``); the smallest position list wins.  None means no index
+        narrows the scan.
+        """
+        candidate_positions: Sequence[int] | None = None
         for predicate in request.predicates:
             if predicate.op != "=":
                 continue
@@ -210,7 +215,12 @@ class RelationalStore(Store):
             metrics.index_lookups += 1
             if candidate_positions is None or len(positions) < len(candidate_positions):
                 candidate_positions = positions
+        return candidate_positions
 
+    def _execute_scan(self, request: ScanRequest) -> StoreResult:
+        table = self.table(request.collection)
+        metrics = StoreMetrics()
+        candidate_positions = self._index_candidates(table, request, metrics)
         if candidate_positions is None:
             rows = list(table.rows)
             metrics.rows_scanned += len(rows)
@@ -231,26 +241,14 @@ class RelationalStore(Store):
 
         Only scans take the native path (they are the hot delegated-request
         shape); lookups and store-side joins fall back to the dict adapter.
-        Index selection, predicate semantics, limit and metrics match
-        :meth:`_execute_scan` — the differential suite holds the two paths
-        bag-identical.
+        Index selection (:meth:`_index_candidates`), predicate semantics,
+        limit and metrics match :meth:`_execute_scan`.
         """
         if not isinstance(request, ScanRequest):
             return super()._execute_batches(request, columns, batch_size)
         table = self.table(request.collection)
         metrics = StoreMetrics()
-        candidate_positions: Sequence[int] | None = None
-        for predicate in request.predicates:
-            if predicate.op != "=":
-                continue
-            index = table.index_on(predicate.column)
-            if index is None:
-                continue
-            positions = index.lookup(predicate.value)
-            metrics.index_lookups += 1
-            if candidate_positions is None or len(positions) < len(candidate_positions):
-                candidate_positions = positions
-
+        candidate_positions = self._index_candidates(table, request, metrics)
         if candidate_positions is None:
             # No index narrows this scan: serve it from the durable segments
             # when they exist — zone maps skip whole segments a predicate

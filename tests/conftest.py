@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import Estocada
 from repro.catalog import AccessMethod, ShardingSpec, StorageDescriptor, StorageLayout
@@ -306,3 +307,8 @@ def sharded_marketplace_builder():
 def replicated_marketplace_builder():
     """Builder for the replicated-marketplace deployment (fault profiles, policy)."""
     return build_replicated_marketplace_estocada
+
+
+# CI's oracle step runs ``--hypothesis-profile=oracle``: the oracle
+# differential class then draws >= 1,000 queries instead of tier-1's sample.
+settings.register_profile("oracle", max_examples=1000)

@@ -49,21 +49,17 @@ from repro.testing import DiskFaultInjector, DiskFaultProfile
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 
 
-def _require_segment_scans(compiled: bool = False) -> None:
+def _require_segment_scans() -> None:
     """Skip a segment-activity assertion when the env serves scans from memory.
 
     Answers stay bag-identical either way (the differential suite pins that);
     these guards only apply to tests that assert the *metrics* of the
-    segment-served path, which REPRO_SEGMENT_SCAN=0 (and, for facade-level
-    scans, REPRO_COMPILED=0) legitimately zeroes.
+    segment-served path, which REPRO_SEGMENT_SCAN=0 legitimately zeroes.
     """
-    from repro.runtime.batch import compiled_enabled
     from repro.stores.segment.backing import segment_scan_enabled
 
     if not segment_scan_enabled():
         pytest.skip("REPRO_SEGMENT_SCAN=0 serves scans from memory")
-    if compiled and not compiled_enabled():
-        pytest.skip("segment-served facade scans ride the compiled batch path")
 
 
 def _bag(rows):
@@ -691,7 +687,7 @@ class TestFacadeDurability:
         assert Estocada().durable_path is None
 
     def test_summary_reports_segment_activity(self, tmp_path, marketplace_data, monkeypatch):
-        _require_segment_scans(compiled=True)
+        _require_segment_scans()
         from tests.conftest import build_marketplace_estocada
 
         monkeypatch.setenv("REPRO_DURABLE", str(tmp_path / "shop"))
@@ -725,7 +721,7 @@ class TestFacadeDurability:
         skip the segments the bound provably excludes — with the answer
         bag-identical to a plain in-memory deployment.
         """
-        _require_segment_scans(compiled=True)
+        _require_segment_scans()
         from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
         from repro.core import Atom, ConjunctiveQuery, ViewDefinition
         from repro.datamodel import TableSchema

@@ -164,6 +164,27 @@ class TestFaultInjector:
             injector.execute(ScanRequest("t"))
         assert injector.injection_report()["mid_stream"] == 1
 
+    def test_mid_stream_loss_serves_exactly_n_batch_rows(self):
+        # The schedule draws error, slow and mid-stream flags, then the row
+        # count N; a batch stream must deliver exactly N rows (N falls inside
+        # the first 64-row batch) before the loss surfaces.
+        import random
+
+        draws = random.Random(3)
+        for _ in range(3):
+            draws.random()
+        after = draws.randrange(1, 64)
+        injector = FaultInjector(
+            _loaded_relational("x", rows=200),
+            FaultProfile(seed=3, mid_stream_rate=1.0),
+        )
+        served = []
+        with pytest.raises(TransientStoreError):
+            for batch in injector.execute_batches(ScanRequest("t"), ("a",), batch_size=64):
+                served.extend(batch.rows)
+        assert len(served) == after
+        assert injector.injection_report()["mid_stream"] == 1
+
     def test_loading_apis_pass_through(self):
         injector = FaultInjector(
             _loaded_relational("x"), FaultProfile(seed=1, error_rate=1.0)

@@ -19,7 +19,7 @@ from repro.plan import (
     LogicalProject,
     build_logical_plan,
 )
-from repro.runtime import BatchBuilder, ExecutionEngine, RowBatch
+from repro.runtime import BatchBuilder, ExecutionEngine, Operator, RowBatch
 from repro.stores import DocumentStore, KeyValueStore, RelationalStore, ScanRequest
 from repro.translation import Planner
 
@@ -101,7 +101,7 @@ class TestStoreStreaming:
 
     def test_stream_batches_and_metrics(self):
         store = self._store()
-        stream = store.execute_stream(ScanRequest("t"), batch_size=10)
+        stream = store.execute_batches(ScanRequest("t"), ("a",), batch_size=10)
         chunks = list(stream)
         assert [len(c) for c in chunks] == [10, 10, 5]
         assert stream.metrics.rows_returned == 25
@@ -111,7 +111,7 @@ class TestStoreStreaming:
 
     def test_stream_is_single_use(self):
         store = self._store()
-        stream = store.execute_stream(ScanRequest("t"), batch_size=10)
+        stream = store.execute_batches(ScanRequest("t"), ("a",), batch_size=10)
         list(stream)
         with pytest.raises(StoreError):
             list(stream)
@@ -146,18 +146,19 @@ class TestBatchBoundaryCorrectness:
         assert result.summary()["batches"] == result.batches
 
 
-def _legacy(bindings):
-    """A rows()-only operator, adapted by the base Operator.batches."""
-    from repro.runtime import Operator
+class _Batches(Operator):
+    """An operator streaming fixed batches, exactly as given (test double)."""
 
-    class _Legacy(Operator):
-        def __init__(self, items):
-            self._items = items
+    def __init__(self, batches):
+        self._fixed = batches
 
-        def rows(self, context):
-            return [dict(b) for b in self._items]
+    def _batches(self, context):
+        yield from self._fixed
 
-    return _Legacy(bindings)
+
+def _static(bindings):
+    """An operator streaming fixed bindings under their union schema."""
+    return _Batches([RowBatch.from_bindings(bindings)])
 
 
 class TestOperatorEdgeCases:
@@ -165,19 +166,21 @@ class TestOperatorEdgeCases:
         # Seed parity: repr-based keys kept 1, True and 1.0 as separate rows.
         from repro.runtime import Deduplicate, ExecutionEngine
 
-        source = _legacy([{"a": 1}, {"a": True}, {"a": 1.0}, {"a": 1}])
+        source = _static([{"a": 1}, {"a": True}, {"a": 1.0}, {"a": 1}])
         rows = ExecutionEngine().execute(Deduplicate(source)).rows
         assert len(rows) == 3
 
-    def test_hash_join_build_side_schema_drift_keeps_late_columns(self):
-        # A legacy right child chunked with per-batch union schemas must not
-        # lose a column that only appears in a later batch.
-        from repro.runtime import ExecutionEngine, HashJoin
+    def test_hash_join_rejects_schema_drift(self):
+        # Every operator emits one schema per stream; a build side whose
+        # batches disagree is a broken plan and must fail loudly instead of
+        # silently dropping or realigning columns.
+        from repro.errors import ExecutionError
+        from repro.runtime import HashJoin
 
-        left = _legacy([{"a": 1}])
-        right = _legacy([{"a": 1}, {"a": 1}, {"a": 1, "b": "extra"}])
-        result = ExecutionEngine(batch_size=2).execute(HashJoin(left, right))
-        assert {"a": 1, "b": "extra"} in result.rows
+        left = _static([{"a": 1}])
+        right = _Batches([RowBatch(("a",), [(1,)]), RowBatch(("a", "b"), [(1, "extra")])])
+        with pytest.raises(ExecutionError, match="changed schema"):
+            ExecutionEngine().execute(HashJoin(left, right))
 
 
 class TestLogicalPlanIR:
