@@ -32,13 +32,14 @@ from repro.core.pacb import PACBResult, PACBStatistics, pacb_rewrite
 from repro.core.provenance import ProvenanceFormula
 from repro.core.query import ConjunctiveQuery, UnionQuery
 from repro.core.rewriting import Rewriter, RewritingOutcome
-from repro.core.terms import Atom, Constant, Substitution, Variable, fresh_variable
+from repro.core.terms import Atom, Constant, Parameter, Substitution, Variable, fresh_variable
 from repro.core.universal_plan import UniversalPlan, chase_query
 from repro.core.views import ViewDefinition, views_constraint_set
 
 __all__ = [
     "Atom",
     "Constant",
+    "Parameter",
     "Variable",
     "Substitution",
     "fresh_variable",

@@ -21,6 +21,7 @@ __all__ = [
     "Term",
     "Variable",
     "Constant",
+    "Parameter",
     "Atom",
     "Substitution",
     "fresh_variable",
@@ -117,6 +118,37 @@ class Constant:
 
     def __str__(self) -> str:
         return repr(self.value)
+
+
+class Parameter:
+    """A parameter slot: the value of a :class:`Constant` in a query template.
+
+    The plan cache plans a query once with each eligible constant replaced by
+    ``Constant(Parameter(i))`` and binds the actual values at execution.  A
+    parameter equals only the parameter with the same index — never a real
+    value — so the rewriting engine treats distinct slots as distinct
+    constants, exactly as it treats distinct literal values.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, key: str, value: object) -> None:  # pragma: no cover
+        raise AttributeError("Parameter is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Parameter) and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash(("Parameter", self.index))
+
+    def __reduce__(self) -> tuple:
+        return (Parameter, (self.index,))
+
+    def __repr__(self) -> str:
+        return f"${self.index}"
 
 
 Term = Variable | Constant

@@ -32,7 +32,7 @@ from repro.core.chase import ChaseConfig
 from repro.core.constraints import Constraint
 from repro.core.query import ConjunctiveQuery
 from repro.core.rewriting import Rewriter, RewritingOutcome
-from repro.core.terms import Variable
+from repro.core.terms import Atom, Constant, Parameter, Variable
 from repro.cost.chooser import PlanChooser, RankedPlan
 from repro.cost.cost_model import CostModel, StoreCostProfile
 from repro.datamodel.relational import RelationalSchema, TableSchema
@@ -128,9 +128,11 @@ class Explanation:
 class PlanCache:
     """A small LRU cache of rewrite-and-plan results (:class:`Explanation`).
 
-    Keys are the normalized query shape (alpha-renamed variables, constants
-    included) plus the rewriting algorithm and the catalog's per-relation
-    epoch signature over the query's reachable relations, so a catalog
+    Keys are the query template (variables by name, each eligible constant
+    a parameter slot — see :meth:`Estocada._plan_cache_key`) plus the
+    rewriting algorithm and the catalog's per-relation epoch signature over
+    the query's reachable relations; the cached plans are compiled over the
+    template and bound to each query's constants at execution.  A catalog
     mutation invalidates exactly the entries whose queries can see the
     mutated relations; ``register_fragment`` / ``drop_fragment``
     additionally drop intersecting entries eagerly via
@@ -237,6 +239,59 @@ class PlanCache:
             "invalidations": self.invalidations,
             "scoped_invalidations": self.scoped_invalidations,
         }
+
+
+_PARAMETER_TYPES = (str, int, float, bool)
+
+
+def _parameter_slots(
+    query: ConjunctiveQuery, pinned: frozenset[Constant]
+) -> dict[Constant, int]:
+    """The parameter slot of each templated constant of ``query``.
+
+    Slots are numbered in order of first occurrence (head, then body) and
+    keyed by :class:`Constant` equality.  A constant whose equality group
+    holds any literal-only member — a ``pinned`` catalog constant, ``None``,
+    NaN, a labelled-null string (the chase treats ``"_:…"`` strings as
+    nulls), or a value of any other type — stays literal as a whole group.
+    """
+    terms = [term for term in query.head_terms if isinstance(term, Constant)]
+    for atom in query.body:
+        terms.extend(term for term in atom.terms if isinstance(term, Constant))
+    literal: set[Constant] = set()
+    for term in terms:
+        value = term.value
+        if (
+            type(value) not in _PARAMETER_TYPES
+            or value != value
+            or (type(value) is str and value.startswith("_:"))
+            or term in pinned
+        ):
+            literal.add(term)
+    slots: dict[Constant, int] = {}
+    for term in terms:
+        if term not in literal and term not in slots:
+            slots[term] = len(slots)
+    return slots
+
+
+def _template_query(
+    query: ConjunctiveQuery, slots: Mapping[Constant, int]
+) -> ConjunctiveQuery:
+    """``query`` with each slotted constant replaced by its parameter."""
+    if not slots:
+        return query
+
+    def template(term):
+        slot = slots.get(term) if isinstance(term, Constant) else None
+        return term if slot is None else Constant(Parameter(slot))
+
+    return ConjunctiveQuery(
+        query.head_relation,
+        [template(term) for term in query.head_terms],
+        [Atom(atom.relation, [template(term) for term in atom.terms]) for atom in query.body],
+        name=query.name,
+    )
 
 
 DEFAULT_CACHE_NAMESPACE = ""
@@ -381,6 +436,9 @@ class Estocada:
         # counter) forces a full rebuild.
         self._rewriter_instance: Rewriter | None = None
         self._rewriter_version = -1
+        # (catalog version, literal-only constants, value-reading fragments)
+        # behind the plan-cache templates; see _template_guards.
+        self._template_guard_cache: tuple[int, frozenset, frozenset] | None = None
 
     # -- registration ------------------------------------------------------------------
     @property
@@ -897,15 +955,31 @@ class Estocada:
 
     def _plan_cache_key(
         self, pivot_query: ConjunctiveQuery, bound_parameters: Sequence[Variable]
-    ) -> tuple[tuple, frozenset[str]]:
-        """Normalized query shape + rewriting algorithm + relation epochs.
+    ) -> tuple[tuple, frozenset[str], dict[Constant, int]]:
+        """Query template + rewriting algorithm + relation epochs.
 
-        The shape keeps the query's actual variable names (a cached plan's
-        operators emit those names, and the residual filters / output
-        renaming applied around a cached plan must keep matching them) and
-        its constants (they are baked into the compiled store requests).
-        The query language translators name variables deterministically from
-        column names, so a repeated query template maps to the same key.
+        The key is the query's **template**: every eligible constant becomes
+        a parameter slot, so ``uid = 5`` and ``uid = 6`` share one cached
+        plan, planned once over ``Constant(Parameter(i))`` and bound to the
+        actual values at execution.  Constants are grouped into slots by
+        :class:`Constant` equality (``1``, ``1.0`` and ``True`` share a slot,
+        as they share a constant in the chase); the key records the slot
+        pattern and each occurrence's value type.  Variables keep their
+        actual names (a cached plan's operators emit those names, and the
+        residual filters / output renaming applied around a cached plan must
+        keep matching them); the query language translators name variables
+        deterministically from column names, so a repeated query template
+        maps to the same key.
+
+        Renaming constants must leave rewriting and planning unchanged, so
+        a constant stays literal (part of the key, baked into the plan) when
+        the renaming would not be a bijection fixing everything the catalog
+        reasons about: a value some view definition or schema constraint
+        mentions, ``None``, NaN, a labelled-null string and any value that
+        is not a plain ``str``/``int``/``float``/``bool``.  Every constant
+        stays literal when the query's reachable relations include a sharded
+        fragment or a durably backed store: shard pruning and segment-aware
+        costing read constant *values* at planning time.
 
         Instead of the global catalog version, the key embeds the catalog's
         per-relation epoch signature over the query's *reachable* relations
@@ -916,22 +990,32 @@ class Estocada:
         it; everything else keeps hitting.  Schema-level changes (dataset
         constraints) key on the coarse structural epoch.
 
-        Returns the key plus the reachable-relation set, which the cache
-        stores per entry for eager scoped invalidation.
+        Returns the key, the reachable-relation set (which the cache stores
+        per entry for eager scoped invalidation) and the parameter slot of
+        every templated constant.
         """
+        reachable = self._rewriter().index.closure(pivot_query.relations())
+        pinned, value_reading = self._template_guards()
+        slots = (
+            _parameter_slots(pivot_query, pinned)
+            if reachable.isdisjoint(value_reading)
+            else {}
+        )
 
         def canonical(term) -> object:
             if isinstance(term, Variable):
-                return f"?{term.name}"
-            return ("const", repr(term.value))
+                return term.name
+            slot = slots.get(term)
+            if slot is None:
+                return ("const", repr(term.value))
+            return (slot, type(term.value))
 
         head = tuple(canonical(term) for term in pivot_query.head_terms)
         body = tuple(
             (atom.relation, tuple(canonical(term) for term in atom.terms))
             for atom in pivot_query.body
         )
-        bound = tuple(sorted(f"?{variable.name}" for variable in bound_parameters))
-        reachable = self._rewriter().index.closure(pivot_query.relations())
+        bound = tuple(sorted(variable.name for variable in bound_parameters))
         key = (
             self._algorithm,
             self._manager.structural_epoch,
@@ -940,7 +1024,39 @@ class Estocada:
             body,
             bound,
         )
-        return key, reachable
+        return key, reachable, slots
+
+    def _template_guards(self) -> tuple[frozenset[Constant], frozenset[str]]:
+        """Constants that must stay literal, and value-reading fragments.
+
+        Computed once per catalog version: the constants any view definition
+        or schema constraint mentions (access patterns are positional and
+        mention none), and the names of the fragments whose planning reads
+        constant values — fragments of sharded stores and fragments in
+        durably backed stores.
+        """
+        version = self._manager.version
+        guards = self._template_guard_cache
+        if guards is None or guards[0] != version:
+            rewriter = self._rewriter()
+            pinned: set[Constant] = set()
+            for view in rewriter.views:
+                pinned.update(view.definition.constants())
+            for constraint in rewriter.constraints:
+                for atom in (*constraint.body, *getattr(constraint, "head", ())):
+                    pinned.update(atom.constants())
+            value_reading: set[str] = set()
+            for descriptor in self._manager.fragments():
+                store = self._manager.store(descriptor.store)
+                if (
+                    descriptor.sharding is not None
+                    or isinstance(store, ShardedStore)
+                    or store.durable_backing() is not None
+                ):
+                    value_reading.update((descriptor.fragment_name, descriptor.view.name))
+            guards = (version, frozenset(pinned), frozenset(value_reading))
+            self._template_guard_cache = guards
+        return guards[1], guards[2]
 
     # -- query translation ----------------------------------------------------------------
     def translate_sql(self, dataset: str, sql: str) -> TranslatedQuery:
@@ -1087,11 +1203,13 @@ class Estocada:
         namespace = tenant if tenant is not None else DEFAULT_CACHE_NAMESPACE
         pivot_query, output_names, residual, aggregation, extras = self._to_pivot(query, dataset)
         with self._planning_lock:
-            cache_key, reachable = self._plan_cache_key(pivot_query, bound_parameters)
+            cache_key, reachable, slots = self._plan_cache_key(pivot_query, bound_parameters)
             explanation = self._plan_cache.get(cache_key, namespace)
             cache_hit = explanation is not None
             if explanation is None:
-                explanation = self._explain_pivot(pivot_query, bound_parameters)
+                explanation = self._explain_pivot(
+                    _template_query(pivot_query, slots), bound_parameters
+                )
                 if explanation.chosen is not None:
                     self._plan_cache.put(cache_key, explanation, reachable, namespace)
         if explanation.chosen is None:
@@ -1113,6 +1231,7 @@ class Estocada:
         )
         result = self._engine.execute(
             root,
+            parameters={Parameter(slot): constant.value for constant, slot in slots.items()},
             parallelism=parallelism,
             deadline_seconds=deadline_seconds,
             scan_hints=scan_hints,
@@ -1124,12 +1243,11 @@ class Estocada:
                 f", shards: {result.shards_contacted} contacted"
                 f" / {result.shards_pruned} pruned"
             )
-        # The executed tree (residual filters, aggregation — possibly pushed
-        # down per shard — and output shaping included), not just the cached
-        # rewriting plan.
-        result.plan_description = (
-            root.explain()
-            + f"\n-- plan cache: {'hit' if cache_hit else 'miss'}"
+        # The plan description renders the executed tree (residual filters,
+        # aggregation — possibly pushed down per shard — and output shaping
+        # included), not just the cached rewriting plan, followed by this note.
+        result.plan_note = (
+            f"\n-- plan cache: {'hit' if cache_hit else 'miss'}"
             + f", batches: {result.batches}"
             + f", parallelism: {result.parallelism}"
             + sharding_note

@@ -194,10 +194,15 @@ class SqlTranslator:
                 representative = union_find.find(left)
                 existing = constants.get(representative)
                 if existing is not None and existing != condition.right.value:
-                    raise TranslationError(
-                        f"contradictory constants for {condition.left}: "
-                        f"{existing!r} vs {condition.right.value!r}"
+                    # x = a AND x = b with a != b: no row qualifies.  The
+                    # variable stays pinned to a; the residual x = b rejects
+                    # every row, so aggregates still answer over empty input.
+                    residual.append(
+                        ResidualPredicate(
+                            variable=representative, op="=", value=condition.right.value
+                        )
                     )
+                    return
                 constants[representative] = condition.right.value
             else:
                 residual.append(

@@ -13,9 +13,10 @@ the shard selection: when an equality constant in the atom binds the
 fragment's shard key, routing is computed here (via the descriptor's
 :class:`~repro.stores.sharding.ShardingSpec`) and the access is *pruned* to
 the single shard that can hold matching rows; otherwise every shard is a
-target and the physical pass fans the scan out shard-by-shard.  Constants
-are part of the plan-cache key, so a cached pruned plan can never be replayed
-against a different shard.
+target and the physical pass fans the scan out shard-by-shard.  The plan
+cache keeps the constants of any query reaching a sharded fragment literal
+(they are not turned into template parameters), so a cached pruned plan can
+never be replayed against a different shard.
 """
 
 from __future__ import annotations

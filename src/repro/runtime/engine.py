@@ -67,13 +67,21 @@ class StoreBreakdown:
 
 @dataclass(slots=True)
 class QueryResult:
-    """Answer rows plus the per-store / runtime performance breakdown."""
+    """Answer rows plus the per-store / runtime performance breakdown.
+
+    :attr:`plan_description` is rendered on first read from the executed
+    operator tree (``plan_root``) followed by ``plan_note`` (the facade's
+    cache / batches / parallelism / shards line), so a query nobody inspects
+    never pays for pretty-printing its plan.
+    """
 
     rows: list[Binding]
     elapsed_seconds: float
     store_breakdown: dict[str, StoreBreakdown] = field(default_factory=dict)
     runtime_rows_processed: int = 0
-    plan_description: str = ""
+    plan_root: Operator | None = None
+    plan_note: str = ""
+    _plan_text: str | None = field(default=None, init=False, repr=False)
     batches: int = 0
     cache_hit: bool = False
     parallelism: int = 1
@@ -91,6 +99,14 @@ class QueryResult:
 
     def __iter__(self):
         return iter(self.rows)
+
+    @property
+    def plan_description(self) -> str:
+        """The executed operator tree plus the plan note, rendered once."""
+        if self._plan_text is None:
+            tree = self.plan_root.explain() if self.plan_root is not None else ""
+            self._plan_text = tree + self.plan_note
+        return self._plan_text
 
     def stores_time(self) -> float:
         """Total time spent inside the underlying stores."""
@@ -359,7 +375,7 @@ class ExecutionEngine:
             elapsed_seconds=elapsed,
             store_breakdown=breakdown,
             runtime_rows_processed=context.runtime_rows_processed,
-            plan_description=plan.explain(),
+            plan_root=plan,
             batches=batch_count,
             parallelism=width,
             max_concurrent_requests=context.tracker.peak,

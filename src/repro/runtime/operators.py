@@ -21,7 +21,9 @@ the batch stream into binding dicts.  The operator set follows the paper:
 * :class:`Aggregate` — simple grouped aggregation for the benchmark queries.
 
 Operators hold no per-execution state, so one plan can be executed many times
-(the plan cache relies on this).
+(the plan cache relies on this).  A cached plan may be compiled over a query
+template: its leaves bind the execution's parameter slots
+(``ExecutionContext.parameters``) into per-execution request copies.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
+from repro.core.terms import Parameter
 from repro.errors import ExecutionError
 from repro.runtime.batch import (
     DEFAULT_BATCH_SIZE,
@@ -46,6 +49,8 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
     StoreResult,
+    bind_parameters,
+    bind_value,
 )
 
 __all__ = [
@@ -143,7 +148,10 @@ class ExecutionContext:
     a pass-through and execution is exactly serial.
     """
 
-    parameters: dict[str, object] = field(default_factory=dict)
+    # Values of the parameter slots of a plan compiled over a query template
+    # (see repro.core.terms.Parameter); leaves bind them into per-execution
+    # copies of their store requests and residual constants.
+    parameters: dict[Parameter, object] = field(default_factory=dict)
     batch_size: int = DEFAULT_BATCH_SIZE
     # Residual comparison predicates in pivot-variable form, pushed into leaf
     # scans at execution time: (variable, op, value) triples.  Stores re-check
@@ -333,18 +341,21 @@ class DelegatedRequest(Operator):
         # execution time from the store's health board.
         self._replica_count = getattr(store, "replica_count", None)
 
-    def _hinted_request(self, context: ExecutionContext) -> tuple[StoreRequest, bool]:
-        """Fold the context's scan hints into this leaf's scan request.
+    def _bound_request(self, context: ExecutionContext) -> tuple[StoreRequest, bool]:
+        """This execution's copy of the request: parameters bound, hints folded in.
 
-        A hint applies when this leaf outputs the hinted variable; its store
-        column comes from inverting ``output``.  The mediator still applies
-        the residual filter above, so the pushed predicate is a pure
-        narrowing — store comparators share the runtime's None semantics
-        (inequalities on missing values are False on both sides).  Plans are
-        cached and shared across executions, so the stored request is never
-        mutated: an augmented copy is built per execution.
+        Plans are cached and shared across executions, so the stored request
+        is never mutated: the copy binds the context's parameter slots (a
+        plan compiled over a query template carries slots where the literal
+        query had constants) and appends the scan hints that apply.  A hint
+        applies when this leaf outputs the hinted variable; its store column
+        comes from inverting ``output``.  The mediator still applies the
+        residual filter above, so a pushed hint is a pure narrowing — store
+        comparators share the runtime's None semantics (inequalities on
+        missing values are False on both sides).  Returns the request and
+        whether any hint was added.
         """
-        request = self._request
+        request = bind_parameters(self._request, context.parameters)
         hints = context.scan_hints
         if not hints or not isinstance(request, ScanRequest):
             return request, False
@@ -385,12 +396,13 @@ class DelegatedRequest(Operator):
                 first[variable] = index
         keep = tuple(first.values())
         schema = tuple(first)
+        parameters = context.parameters
         checks = tuple(
-            (fetch_columns.index(column), value)
+            (fetch_columns.index(column), bind_value(value, parameters))
             for column, value in self._constants.items()
         )
         width = len(store_columns)
-        request, hinted = self._hinted_request(context)
+        request, hinted = self._bound_request(context)
         stream = self._store.execute_batches(request, fetch_columns, context.batch_size)
         batches = iter(stream)
         context.tracker.enter()
@@ -446,7 +458,10 @@ class BindJoin(Operator):
     or a :class:`ScanRequest` with an equality predicate).  Rows returned by
     the probe are mapped through ``output`` and merged with the left binding;
     probe rows disagreeing with the left binding on a shared variable are
-    dropped (the usual compatible-bindings semantics).
+    dropped (the usual compatible-bindings semantics), and so are probe rows
+    whose columns mapped to one variable disagree.  Each request the factory
+    returns, and the residual ``constants``, have the execution's parameter
+    slots bound before use.
     """
 
     def __init__(
@@ -470,7 +485,22 @@ class BindJoin(Operator):
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         output_items = tuple(self._output.items())
-        constant_items = tuple(self._constants.items())
+        parameters = context.parameters
+        constant_items = tuple(
+            (column, bind_value(value, parameters))
+            for column, value in self._constants.items()
+        )
+        # A variable several probe columns map to (an atom repeating a
+        # variable) requires those columns to be equal; its first column
+        # supplies the value.
+        first_column: dict[str, str] = {}
+        equalities: list[tuple[str, str]] = []
+        for column, variable in output_items:
+            if variable in first_column:
+                equalities.append((first_column[variable], column))
+            else:
+                first_column[variable] = column
+        variable_columns = tuple(first_column.items())
         left_schema: tuple[str, ...] | None = None
         shared_positions: dict[str, int] = {}
         new_variables: tuple[str, ...] = ()
@@ -500,6 +530,7 @@ class BindJoin(Operator):
                 request = self._request_factory(left_binding)
                 if request is None:
                     continue
+                request = bind_parameters(request, parameters)
                 context.tracker.enter()
                 try:
                     probe = self._store.execute(request)
@@ -511,9 +542,13 @@ class BindJoin(Operator):
                         row.get(column) != value for column, value in constant_items
                     ):
                         continue
-                    right_binding: dict[str, object] = {}
-                    for column, variable in output_items:
-                        right_binding[variable] = row.get(column)
+                    if equalities and any(
+                        row.get(left) != row.get(right) for left, right in equalities
+                    ):
+                        continue
+                    right_binding = {
+                        variable: row.get(column) for variable, column in variable_columns
+                    }
                     if any(
                         left_row[position] != right_binding[variable]
                         for variable, position in shared_positions.items()
@@ -776,7 +811,12 @@ class NestedConstruct(Operator):
 
 
 class Aggregate(Operator):
-    """Grouped aggregation (count/sum/avg/min/max) evaluated by the runtime."""
+    """Grouped aggregation (count/sum/avg/min/max) evaluated by the runtime.
+
+    SQL semantics: NULL inputs are ignored, so ``sum``/``avg``/``min``/``max``
+    over no non-NULL value are NULL while ``count`` is 0, and an aggregate
+    without GROUP BY answers exactly one row even over empty input.
+    """
 
     _FUNCTIONS = {"count", "sum", "avg", "min", "max"}
 
@@ -825,6 +865,9 @@ class Aggregate(Operator):
                     if value is not None:
                         values_by_column[column].append(value)
                 groups[key] = (count + 1, values_by_column)
+        if not groups and not self._group_by:
+            # A global aggregate answers one row even over empty input (SQL).
+            groups[()] = (0, {column: [] for column in value_columns})
 
         output_schema = self._group_by + tuple(self._aggregations)
         builder = BatchBuilder(output_schema, context.batch_size)
@@ -836,7 +879,7 @@ class Aggregate(Operator):
                 if function == "count":
                     aggregated.append(count if column is None else len(values))
                 elif function == "sum":
-                    aggregated.append(sum(values) if values else 0)
+                    aggregated.append(sum(values) if values else None)
                 elif function == "avg":
                     aggregated.append((sum(values) / len(values)) if values else None)
                 elif function == "min":
@@ -959,9 +1002,11 @@ class MergeAggregate(Operator):
 
     The child yields partial rows (``group_by`` columns plus the decomposed
     aggregate columns of :func:`partial_aggregations`), at most one per group
-    per shard.  States merge associatively: counts and sums add, min/max
-    combine ignoring ``None`` (a shard where every value was null), and
-    ``avg`` divides the merged sum by the merged non-null count.
+    per shard.  States merge associatively: counts add, sums add and
+    min/max combine ignoring ``None`` (a shard where every value was null, so
+    a sum over only nulls stays NULL), and ``avg`` divides the merged sum by
+    the merged non-null count.  Without GROUP BY the merge answers one row
+    even when no partial row arrives.
     """
 
     def __init__(
@@ -1010,8 +1055,14 @@ class MergeAggregate(Operator):
                         continue
                     index = partial_indexer.get(name)
                     value = row[index] if index is not None else None
-                    if function in ("count", "sum"):
+                    if function == "count":
                         state[name] = state.get(name, 0) + (value or 0)
+                    elif function == "sum":
+                        current = state.get(name)
+                        if value is not None:
+                            state[name] = value if current is None else current + value
+                        else:
+                            state.setdefault(name, None)
                     elif function == "min":
                         current = state.get(name)
                         if value is not None:
@@ -1024,6 +1075,9 @@ class MergeAggregate(Operator):
                             state[name] = value if current is None else max(current, value)
                         else:
                             state.setdefault(name, None)
+        if not groups and not self._group_by:
+            # A global aggregate answers one row even over empty input (SQL).
+            groups[()] = {}
 
         output_schema = self._group_by + tuple(self._aggregations)
         builder = BatchBuilder(output_schema, context.batch_size)
@@ -1034,6 +1088,8 @@ class MergeAggregate(Operator):
                 if function == "avg":
                     total, count = state.get(name, (0, 0))
                     merged.append(total / count if count else None)
+                elif function == "count":
+                    merged.append(state.get(name, 0))
                 else:
                     merged.append(state.get(name))
             full = builder.add(key + tuple(merged))

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.terms import Parameter
 from repro.errors import StoreError, UnsupportedOperationError
 from repro.cancellation import interruptible_sleep
 
@@ -48,6 +49,8 @@ __all__ = [
     "COMPARATORS",
     "DEFAULT_STREAM_BATCH_SIZE",
     "batch_tuples",
+    "bind_parameters",
+    "bind_value",
 ]
 
 DEFAULT_STREAM_BATCH_SIZE = 256
@@ -143,6 +146,46 @@ class SearchRequest:
 
 
 StoreRequest = ScanRequest | LookupRequest | JoinRequest | SearchRequest
+
+
+def bind_value(value: object, parameters: Mapping[Parameter, object]) -> object:
+    """``value``, or its bound value when it is a parameter slot."""
+    return parameters[value] if isinstance(value, Parameter) else value
+
+
+def bind_parameters(request: StoreRequest, parameters: Mapping[Parameter, object]) -> StoreRequest:
+    """``request`` with every :class:`~repro.core.terms.Parameter` slot bound.
+
+    Cached plans are compiled over query templates: scan predicates and
+    lookup keys may hold parameter slots instead of values.  Binding returns
+    a fresh request (recursing through both sides of a join) and never
+    mutates the cached one; a request without slots is returned as is.
+    """
+    if not parameters:
+        return request
+    if isinstance(request, ScanRequest):
+        if not any(isinstance(p.value, Parameter) for p in request.predicates):
+            return request
+        return replace(
+            request,
+            predicates=tuple(
+                Predicate(p.column, p.op, bind_value(p.value, parameters))
+                for p in request.predicates
+            ),
+        )
+    if isinstance(request, LookupRequest):
+        if not any(isinstance(key, Parameter) for key in request.keys):
+            return request
+        return replace(
+            request, keys=tuple(bind_value(key, parameters) for key in request.keys)
+        )
+    if isinstance(request, JoinRequest):
+        left = bind_parameters(request.left, parameters)
+        right = bind_parameters(request.right, parameters)
+        if left is request.left and right is request.right:
+            return request
+        return replace(request, left=left, right=right)
+    return request
 
 
 @dataclass(slots=True)

@@ -8,9 +8,10 @@ and evaluated *directly* from the spec over plain Python rows — no parser,
 translator, rewriting, plan or runtime of ``repro`` is involved.
 
 Semantics follow SQL over data without NULLs: WHERE is a conjunction of
-comparisons, GROUP BY groups with count/sum/min/max/avg, DISTINCT removes
-duplicate output rows, and LIMIT k returns any k rows of the answer (callers
-check a sub-bag of size ``min(k, |answer|)``).
+comparisons, GROUP BY groups with count/sum/min/max/avg, an aggregate without
+GROUP BY answers one row even over empty input (``count`` 0, the others
+NULL), DISTINCT removes duplicate output rows, and LIMIT k returns any k rows
+of the answer (callers check a sub-bag of size ``min(k, |answer|)``).
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class QuerySpec:
 
     ``tables`` pairs each table with its alias; a single-table query is
     rendered without aliases or qualifiers.  ``select`` lists plain output
-    columns (empty with ``star``); ``aggregates`` requires ``group_by``.
+    columns (empty with ``star``); ``aggregates`` without ``group_by`` is a
+    global aggregate (and then ``select`` is empty).
     """
 
     tables: tuple[tuple[str, str], ...]
@@ -221,6 +223,8 @@ class Oracle:
         for row in rows:
             key = tuple(row[(c.alias, c.name)] for c in spec.group_by)
             groups.setdefault(key, []).append(row)
+        if not spec.group_by:
+            groups.setdefault((), [])
         answer = []
         for key, members in groups.items():
             values = dict(zip(spec.group_by, key))
@@ -237,10 +241,10 @@ class Oracle:
 
 _FUNCTIONS = {
     "count": len,
-    "sum": sum,
-    "min": min,
-    "max": max,
-    "avg": lambda values: sum(values) / len(values),
+    "sum": lambda values: sum(values) if values else None,
+    "min": lambda values: min(values) if values else None,
+    "max": lambda values: max(values) if values else None,
+    "avg": lambda values: sum(values) / len(values) if values else None,
 }
 
 
@@ -302,8 +306,8 @@ def query_specs(draw) -> QuerySpec:
 
     Shapes: one table or an equi-join of two; WHERE comparisons on any
     columns (literals and column pairs); a SELECT list drawn independently
-    of the WHERE and GROUP BY columns; GROUP BY with aggregates; DISTINCT;
-    LIMIT.
+    of the WHERE and GROUP BY columns; aggregates with or without GROUP BY;
+    DISTINCT; LIMIT.
     """
     if draw(st.booleans()):
         table = draw(st.sampled_from(tuple(SCHEMA)))
@@ -327,8 +331,12 @@ def query_specs(draw) -> QuerySpec:
     group_by: tuple[Column, ...] = ()
     star = False
     if draw(st.integers(0, 2)) == 0:
-        group_by = tuple(draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2, unique=True)))
-        select = tuple(draw(st.lists(st.sampled_from(group_by), max_size=2, unique=True)))
+        group_by = tuple(draw(st.lists(st.sampled_from(columns), max_size=2, unique=True)))
+        select = (
+            tuple(draw(st.lists(st.sampled_from(group_by), max_size=2, unique=True)))
+            if group_by
+            else ()
+        )
         numeric = [c for c in columns if kinds[c] == "num"]
         drawn = draw(
             st.lists(

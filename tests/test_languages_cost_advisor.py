@@ -124,11 +124,15 @@ class TestSqlTranslator:
         with pytest.raises(TranslationError):
             SqlTranslator(schema).translate("SELECT x FROM a, b")
 
-    def test_contradictory_constants_rejected(self):
-        with pytest.raises(TranslationError):
-            SqlTranslator(_schema()).translate(
-                "SELECT pageURL FROM rankings WHERE pageURL = 'a' AND pageURL = 'b'"
-            )
+    def test_contradictory_constants_answer_empty(self):
+        translated = SqlTranslator(_schema()).translate(
+            "SELECT pageURL FROM rankings WHERE pageURL = 'a' AND pageURL = 'b'"
+        )
+        (atom,) = translated.query.body
+        assert Constant("a") in atom.terms
+        (predicate,) = translated.residual_predicates
+        assert (predicate.op, predicate.value, predicate.value_is_column) == ("=", "b", False)
+        assert dict(translated.bound_columns) == {predicate.variable: "a"}
 
     def test_select_star_expands_columns(self):
         translated = SqlTranslator(_schema()).translate("SELECT * FROM rankings")

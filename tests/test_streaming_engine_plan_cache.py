@@ -182,6 +182,77 @@ class TestOperatorEdgeCases:
         with pytest.raises(ExecutionError, match="changed schema"):
             ExecutionEngine().execute(HashJoin(left, right))
 
+    def test_bind_join_checks_a_variable_repeated_across_probe_columns(self):
+        # R(k, x, x): the probe's columns a and b both map to ?x, so only
+        # probe rows where a == b qualify (last-column-wins kept all three).
+        from repro.runtime import BindJoin
+        from repro.stores import Predicate
+
+        store = RelationalStore("pg")
+        store.create_table("t", ("k", "a", "b"))
+        store.insert("t", [
+            {"k": 1, "a": 5, "b": 5},
+            {"k": 1, "a": 5, "b": 6},
+            {"k": 2, "a": 7, "b": 8},
+        ])
+        join = BindJoin(
+            _static([{"k": 1}, {"k": 2}]),
+            store,
+            lambda binding: ScanRequest("t", (Predicate("k", "=", binding["k"]),)),
+            output={"k": "k", "a": "x", "b": "x"},
+        )
+        assert ExecutionEngine().execute(join).rows == [{"k": 1, "x": 5}]
+
+    def test_global_aggregate_over_empty_input_answers_one_row(self):
+        from repro.runtime import Aggregate
+
+        aggregations = {
+            "n": ("count", None), "nv": ("count", "v"), "s": ("sum", "v"),
+            "lo": ("min", "v"), "hi": ("max", "v"), "a": ("avg", "v"),
+        }
+        empty = _Batches([])
+        rows = ExecutionEngine().execute(Aggregate(empty, (), aggregations)).rows
+        assert rows == [{"n": 0, "nv": 0, "s": None, "lo": None, "hi": None, "a": None}]
+        # Grouped aggregation over empty input still has no groups.
+        grouped = Aggregate(_Batches([]), ("g",), aggregations)
+        assert ExecutionEngine().execute(grouped).rows == []
+
+    def test_sum_over_only_nulls_is_null(self):
+        from repro.runtime import Aggregate
+
+        source = _static([{"g": 1, "v": None}, {"g": 1, "v": None}, {"g": 2, "v": 3}])
+        rows = ExecutionEngine().execute(
+            Aggregate(source, ("g",), {"s": ("sum", "v"), "n": ("count", "v")})
+        ).rows
+        assert sorted(rows, key=lambda r: r["g"]) == [
+            {"g": 1, "s": None, "n": 0}, {"g": 2, "s": 3, "n": 1},
+        ]
+
+    def test_merged_partial_aggregates_keep_sql_empty_and_null_semantics(self):
+        # The sharded path: per-shard partials merged at the mediator must
+        # agree with a single Aggregate over the union.
+        from repro.runtime import Aggregate, MergeAggregate, PartialAggregate, ShardGather
+
+        aggregations = {"n": ("count", None), "s": ("sum", "v"), "a": ("avg", "v")}
+        shards = [[], [{"v": None}], [{"v": None}, {"v": 4}]]
+
+        def merged(group_by, shard_rows):
+            branches = [
+                PartialAggregate(_static(rows) if rows else _Batches([]), group_by, aggregations)
+                for rows in shard_rows
+            ]
+            return ExecutionEngine().execute(
+                MergeAggregate(ShardGather(branches), group_by, aggregations)
+            ).rows
+
+        assert merged((), shards[:2]) == [{"n": 1, "s": None, "a": None}]
+        assert merged((), shards) == [{"n": 3, "s": 4, "a": 4.0}]
+        assert merged((), [[], []]) == [{"n": 0, "s": None, "a": None}]
+        single = Aggregate(
+            _static([{"v": None}, {"v": None}, {"v": 4}]), (), aggregations
+        )
+        assert ExecutionEngine().execute(single).rows == merged((), shards)
+
 
 class TestLogicalPlanIR:
     def test_logical_plan_structure(self, catalog):
@@ -282,6 +353,18 @@ class TestCostBasedJoinChoice:
         assert scanned(cost_based_result) < scanned(structural_result)
 
 
+@pytest.fixture
+def in_memory_estocada(marketplace_builder, marketplace_data, monkeypatch):
+    """The marketplace deployment, in memory even when ``REPRO_DURABLE`` is set.
+
+    Durably backed stores keep literal plan-cache keys (see
+    ``test_durable_deployments_keep_literal_keys``); the template tests are
+    about the in-memory deployment.
+    """
+    monkeypatch.delenv("REPRO_DURABLE", raising=False)
+    return marketplace_builder(marketplace_data)
+
+
 class TestPlanCache:
     QUERY = ConjunctiveQuery(
         "Q", ["?pc"], [Atom("users", [Constant(7), "?n", "?c", "?p", "?pc"])]
@@ -343,14 +426,21 @@ class TestPlanCache:
         assert list(after.store_breakdown) == ["pg"]
         assert after.rows == before.rows
 
-    def test_distinct_queries_use_distinct_entries(self, marketplace_estocada):
-        est = marketplace_estocada
+    def test_other_constants_share_the_template_entry(self, in_memory_estocada):
+        est = in_memory_estocada
         other = ConjunctiveQuery(
             "Q2", ["?pc"], [Atom("users", [Constant(8), "?n", "?c", "?p", "?pc"])]
         )
         est.query(self.QUERY)
         result = est.query(other)
-        assert result.cache_hit is False
+        assert result.cache_hit is True  # uid 7 and uid 8: one template
+        assert est.cache_stats()["entries"] == 1
+        # A different shape (the city instead of the preferred category) is
+        # a different template.
+        shape = ConjunctiveQuery(
+            "Q3", ["?c"], [Atom("users", [Constant(8), "?n", "?c", "?p", "?pc"])]
+        )
+        assert est.query(shape).cache_hit is False
         assert est.cache_stats()["entries"] == 2
 
     def test_sql_template_repeats_hit(self, marketplace_estocada):
@@ -365,6 +455,183 @@ class TestPlanCache:
             "SELECT uid, sku FROM purchases LIMIT 3", dataset="shop"
         )
         assert len(result.rows) == 3
+
+
+def _user_query(uid, head=("?n", "?pc")):
+    return ConjunctiveQuery(
+        "Q", list(head), [Atom("users", [Constant(uid), "?n", "?c", "?p", "?pc"])]
+    )
+
+
+class TestParameterizedPlanCache:
+    """The plan cache keys on the query template and binds constants per run."""
+
+    def test_one_template_serves_every_constant(self, in_memory_estocada, marketplace_data):
+        est = in_memory_estocada
+        engine = ExecutionEngine()
+        users = {u["uid"]: u for u in marketplace_data.users}
+        for uid in (3, 7, 11, 42, 7):
+            query = _user_query(uid)
+            result = est.query(query)
+            # The literal plan (planned with the constant baked in) agrees.
+            literal = engine.execute(est.explain(query).chosen.plan.root)
+            assert {tuple(sorted(r.items())) for r in result.rows} == {
+                tuple(sorted(r.items())) for r in literal.rows
+            }
+            user = users[uid]
+            assert result.rows == [{"n": user["name"], "pc": user["preferred_category"]}]
+        stats = est.cache_stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 4, 1)
+
+    def test_sql_constants_bind_into_store_requests(self, in_memory_estocada, marketplace_data):
+        est = in_memory_estocada
+        for uid in (0, 5, 59, 1000):
+            result = est.query(f"SELECT sku, price FROM purchases WHERE uid = {uid}", dataset="shop")
+            expected = sorted(
+                (p["sku"], p["price"]) for p in marketplace_data.purchases() if p["uid"] == uid
+            )
+            assert sorted((r["sku"], r["price"]) for r in result.rows) == expected
+            # The uid index still serves the bound equality.
+            assert result.store_breakdown["pg"].rows_scanned == len(expected)
+        assert est.cache_stats()["misses"] == 1
+
+    def test_slot_pattern_is_part_of_the_key(self, in_memory_estocada):
+        est = in_memory_estocada
+
+        def query(uid, quantity):
+            return ConjunctiveQuery(
+                "Q", ["?s"], [Atom("purchases", [Constant(uid), "?s", "?c", Constant(quantity), "?pr"])]
+            )
+
+        est.query(query(5, 5))  # one slot used twice
+        assert est.query(query(5, 6)).cache_hit is False  # two slots
+        assert est.query(query(3, 3)).cache_hit is True
+        assert est.query(query(2, 1)).cache_hit is True
+        assert est.cache_stats()["entries"] == 2
+
+    def test_value_type_is_part_of_the_key(self, in_memory_estocada):
+        est = in_memory_estocada
+        first = est.query(_user_query(1))
+        second = est.query(_user_query(True))
+        assert second.cache_hit is False
+        assert second.rows == first.rows  # True == 1 in the stores
+        assert est.cache_stats()["entries"] == 2
+
+    def test_a_constant_a_fragment_mentions_stays_literal(
+        self, in_memory_estocada, marketplace_data
+    ):
+        est = in_memory_estocada
+        est.register_fragment(
+            StorageDescriptor(
+                "F_paris", "shop", "mongo",
+                ViewDefinition(
+                    "F_paris",
+                    ConjunctiveQuery(
+                        "F_paris", ["?u", "?n"],
+                        [Atom("users", ["?u", "?n", Constant("paris"), "?p", "?pc"])],
+                    ),
+                    column_names=("uid", "name"),
+                ),
+                StorageLayout("paris_users"), AccessMethod("scan"),
+            ),
+            rows=[
+                {"uid": u["uid"], "name": u["name"]}
+                for u in marketplace_data.users if u["city"] == "paris"
+            ],
+        )
+
+        def by_city(city):
+            result = est.query(f"SELECT uid, name FROM users WHERE city = '{city}'", dataset="shop")
+            expected = sorted(
+                (u["uid"], u["name"]) for u in marketplace_data.users if u["city"] == city
+            )
+            assert sorted((r["uid"], r["name"]) for r in result.rows) == expected
+            return result
+
+        paris = by_city("paris")
+        assert list(paris.store_breakdown) == ["mongo"]  # answered from F_paris
+        lyon = by_city("lyon")
+        assert lyon.cache_hit is False  # 'paris' is literal in its key
+        assert list(lyon.store_breakdown) == ["pg"]
+        nice = by_city("nice")
+        assert nice.cache_hit is True  # 'lyon' and 'nice' share a template
+        assert list(nice.store_breakdown) == ["pg"]
+        assert by_city("paris").cache_hit is True
+
+    def test_sharded_fragments_keep_literal_keys(
+        self, sharded_marketplace_builder, marketplace_data
+    ):
+        est = sharded_marketplace_builder(marketplace_data, shards=8)
+        uids = (0, 7, 13, 42, 59)
+        for uid in uids:
+            result = est.query(f"SELECT sku FROM purchases WHERE uid = {uid}", dataset="shop")
+            expected = sorted(p["sku"] for p in marketplace_data.purchases() if p["uid"] == uid)
+            assert sorted(r["sku"] for r in result.rows) == expected
+            assert result.summary()["shards"] == {"contacted": 1, "pruned": 7}
+            assert result.cache_hit is False  # pruning read the uid value
+        assert est.cache_stats()["entries"] == len(uids)
+
+    def test_durable_deployments_keep_literal_keys(
+        self, marketplace_builder, marketplace_data, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_DURABLE", str(tmp_path))
+        est = marketplace_builder(marketplace_data)
+        est.query(_user_query(5))
+        assert est.query(_user_query(6)).cache_hit is False
+        assert est.cache_stats()["entries"] == 2
+
+    def test_binding_leaves_the_cached_requests_untouched(self):
+        from repro.core import Parameter
+        from repro.stores import JoinRequest, LookupRequest, Predicate
+        from repro.stores.base import bind_parameters
+
+        scan = ScanRequest("t", (Predicate("a", "=", Parameter(0)), Predicate("b", ">", 3)))
+        join = JoinRequest(scan, LookupRequest("u", (Parameter(1),)), (("a", "a"),))
+        bound = bind_parameters(join, {Parameter(0): "x", Parameter(1): 9})
+        assert bound.left.predicates == (Predicate("a", "=", "x"), Predicate("b", ">", 3))
+        assert bound.right.keys == (9,)
+        assert join.left.predicates[0].value == Parameter(0)  # the original is unchanged
+        assert join.right.keys == (Parameter(1),)
+        assert bind_parameters(ScanRequest("t"), {Parameter(0): 1}) == ScanRequest("t")
+
+
+class TestPlanCacheWorkGate:
+    """A counter gate on the warm path: it counts work, never wall clock."""
+
+    def test_one_template_over_many_keys_plans_once(self, marketplace_builder, monkeypatch):
+        from repro.core import memo_stats
+        from repro.core.rewriting import Rewriter
+        from repro.workloads import MarketplaceConfig, generate_marketplace
+
+        data = generate_marketplace(
+            MarketplaceConfig(users=200, products=80, orders=400, carts=40, log_lines=600, seed=5)
+        )
+        monkeypatch.delenv("REPRO_DURABLE", raising=False)  # durable keys stay literal
+        est = marketplace_builder(data)
+        rewrites = []
+        original = Rewriter.rewrite
+
+        def counting(self, *args, **kwargs):
+            rewrites.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rewriter, "rewrite", counting)
+        names = {u["uid"]: u["name"] for u in data.users}
+        assert len(names) == 200
+        before = after_first = None
+        for uid in sorted(names):
+            if before is None:
+                before = est.cache_stats()
+            result = est.query(f"SELECT name, city FROM users WHERE uid = {uid}", dataset="shop")
+            assert [row["name"] for row in result.rows] == [names[uid]]
+            if after_first is None:
+                after_first = {name: dict(stats) for name, stats in memo_stats().items()}
+        stats = est.cache_stats()
+        assert stats["misses"] - before["misses"] == 1
+        assert stats["hits"] - before["hits"] == 199
+        assert len(rewrites) == 1
+        # No rewrite memo was even consulted after the first query.
+        assert {name: dict(stats) for name, stats in memo_stats().items()} == after_first
 
 
 class TestShardedPlanCacheInterplay:
