@@ -127,9 +127,8 @@ def tuning_parallelism() -> None:
       chase/containment memos);
     * ``REPRO_DURABLE=/path`` / ``Estocada(durable_path=...)`` — persist
       every registered store through a per-store WAL + columnar segment
-      backing (see :func:`durability` below; ``REPRO_SEGMENT_SCAN=0``
-      keeps the durability but serves scans from memory, and
-      ``REPRO_SEGMENT_ROWS`` sets how many rows freeze per segment).
+      backing (see :func:`durability` below; ``REPRO_SEGMENT_ROWS`` sets
+      how many rows freeze per segment).
     """
     est = Estocada(parallelism=1)  # serial by default; overridden per query
     est.register_store("pg", RelationalStore("pg", latency=0.02))

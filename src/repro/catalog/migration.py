@@ -313,19 +313,19 @@ class MigrationEngine:
             self._abandon(migration, "cancelled before backfill began")
             return
         source = estocada.catalog.store(old.store)
+        view_columns = old.view_columns()
+        store_columns = [old.layout.store_column(column) for column in view_columns]
         try:
-            store_rows = source.execute(ScanRequest(collection=old.layout.collection)).rows
+            stream = source.execute_batches(
+                ScanRequest(collection=old.layout.collection), store_columns
+            )
+            rows = [dict(zip(view_columns, row)) for batch in stream for row in batch.rows]
         except StoreError as error:
             self._abandon(migration, f"{type(error).__name__}: {error}")
             raise MigrationError(
                 f"cannot scan fragment {migration.fragment!r} out of store "
                 f"{old.store!r}: {error}"
             ) from error
-        view_columns = old.view_columns()
-        rows = [
-            {column: row.get(old.layout.store_column(column)) for column in view_columns}
-            for row in store_rows
-        ]
         try:
             for start in range(0, max(1, len(rows)), max(1, chunk_rows)):
                 if self._cancelled(cancel):

@@ -177,18 +177,20 @@ def predicate_kernel(specs: Sequence[PredicateSpec], schema: Sequence[str]) -> R
 def projection_kernel(
     schema: Sequence[str], wanted: Sequence[str]
 ) -> Callable[[tuple], tuple]:
-    """A row-tuple transform selecting ``wanted`` columns (None when absent)."""
-    schema = tuple(schema)
-    indices = [schema.index(column) if column in schema else None for column in wanted]
+    """A row-tuple transform selecting ``wanted`` columns.
+
+    A wanted column missing from ``schema`` raises
+    :class:`~repro.errors.ExecutionError`, as in :func:`predicate_kernel`:
+    the plan below does not produce it, and a None column would hide that.
+    """
+    indices = _positions(schema, wanted, "projection")
     if not indices:
         # A boolean query projects every row to the empty tuple.
         return lambda row: ()
-    if all(index is not None for index in indices):
-        if len(indices) == 1:
-            only = indices[0]
-            return lambda row: (row[only],)
-        return itemgetter(*indices)
-    return lambda row: tuple(row[i] if i is not None else None for i in indices)
+    if len(indices) == 1:
+        only = indices[0]
+        return lambda row: (row[only],)
+    return itemgetter(*indices)
 
 
 def key_kernel(schema: Sequence[str], columns: Sequence[str]) -> Callable[[list], list]:
@@ -196,25 +198,30 @@ def key_kernel(schema: Sequence[str], columns: Sequence[str]) -> Callable[[list]
 
     Single-column keys are bare values (no tuple allocation per row); both
     sides of a join must therefore use this kernel so representations agree.
-    Columns absent from the schema contribute ``None``, matching the
-    row-at-a-time indexer semantics.
+    A key column missing from ``schema`` raises
+    :class:`~repro.errors.ExecutionError`.
     """
-    schema = tuple(schema)
-    indices = [schema.index(column) if column in schema else None for column in columns]
+    indices = _positions(schema, columns, "join key")
     if not indices:
         # No key columns (cartesian join): every row shares the empty key.
         return lambda rows: [()] * len(rows)
     if len(indices) == 1:
         only = indices[0]
-        if only is None:
-            return lambda rows: [None] * len(rows)
         return lambda rows: [row[only] for row in rows]
-    if all(index is not None for index in indices):
-        getter = itemgetter(*indices)
-        return lambda rows: [getter(row) for row in rows]
-    return lambda rows: [
-        tuple(row[i] if i is not None else None for i in indices) for row in rows
-    ]
+    getter = itemgetter(*indices)
+    return lambda rows: [getter(row) for row in rows]
+
+
+def _positions(schema: Sequence[str], columns: Sequence[str], role: str) -> list[int]:
+    """Positions of ``columns`` in ``schema``; a missing column is a plan bug."""
+    schema = tuple(schema)
+    missing = [column for column in columns if column not in schema]
+    if missing:
+        raise ExecutionError(
+            f"{role} reads column {missing[0]!r}, which its input does not "
+            f"produce (columns: {list(schema)})"
+        )
+    return [schema.index(column) for column in columns]
 
 
 # -- fusable stages ------------------------------------------------------------------

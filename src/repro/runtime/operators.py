@@ -48,7 +48,6 @@ from repro.stores.base import (
     Store,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
     bind_parameters,
     bind_value,
 )
@@ -171,9 +170,8 @@ class ExecutionContext:
     merge_lock: threading.Lock = field(default_factory=threading.Lock)
     operator_tallies: dict[str, list[int]] = field(default_factory=dict)
 
-    def record(self, store_name: str, result: StoreResult | StoreMetrics) -> None:
+    def record(self, store_name: str, metrics: StoreMetrics) -> None:
         """Record a store request's metrics for the per-store breakdown."""
-        metrics = result.metrics if isinstance(result, StoreResult) else result
         self.store_results.append((store_name, metrics))
 
     def tally(self, operator: str, rows: int, batches: int = 1) -> None:
@@ -484,26 +482,30 @@ class BindJoin(Operator):
         return (self._left,)
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        output_items = tuple(self._output.items())
+        from repro.runtime.kernels import projection_kernel
+
         parameters = context.parameters
+        # Each probe fetches the output columns, then the constant columns
+        # outside them; checks and bindings read the tuples by position.
+        fetch_columns = tuple(self._output) + tuple(
+            column for column in self._constants if column not in self._output
+        )
         constant_items = tuple(
-            (column, bind_value(value, parameters))
+            (fetch_columns.index(column), bind_value(value, parameters))
             for column, value in self._constants.items()
         )
         # A variable several probe columns map to (an atom repeating a
         # variable) requires those columns to be equal; its first column
         # supplies the value.
-        first_column: dict[str, str] = {}
-        equalities: list[tuple[str, str]] = []
-        for column, variable in output_items:
-            if variable in first_column:
-                equalities.append((first_column[variable], column))
+        first_position: dict[str, int] = {}
+        equalities: list[tuple[int, int]] = []
+        for position, variable in enumerate(self._output.values()):
+            if variable in first_position:
+                equalities.append((first_position[variable], position))
             else:
-                first_column[variable] = column
-        variable_columns = tuple(first_column.items())
+                first_position[variable] = position
         left_schema: tuple[str, ...] | None = None
-        shared_positions: dict[str, int] = {}
-        new_variables: tuple[str, ...] = ()
+        shared: tuple[tuple[int, int], ...] = ()  # (left position, probe position)
         builder: BatchBuilder | None = None
         for left_batch in self._left.batches(context):
             if left_batch.columns != left_schema:
@@ -514,16 +516,15 @@ class BindJoin(Operator):
                         yield tail
                 left_schema = left_batch.columns
                 left_set = set(left_schema)
-                shared_positions = {
-                    variable: left_schema.index(variable)
-                    for _, variable in output_items
+                shared = tuple(
+                    (left_schema.index(variable), position)
+                    for variable, position in first_position.items()
                     if variable in left_set
-                }
-                seen_new: dict[str, None] = {}
-                for _, variable in output_items:
-                    if variable not in left_set:
-                        seen_new.setdefault(variable, None)
-                new_variables = tuple(seen_new)
+                )
+                new_variables = tuple(v for v in first_position if v not in left_set)
+                pick_new = projection_kernel(
+                    fetch_columns, tuple(fetch_columns[first_position[v]] for v in new_variables)
+                )
                 builder = BatchBuilder(left_schema + new_variables, context.batch_size)
             for left_row in left_batch.rows:
                 left_binding = dict(zip(left_schema, left_row))
@@ -531,33 +532,26 @@ class BindJoin(Operator):
                 if request is None:
                     continue
                 request = bind_parameters(request, parameters)
+                stream = self._store.execute_batches(
+                    request, fetch_columns, context.batch_size
+                )
                 context.tracker.enter()
                 try:
-                    probe = self._store.execute(request)
+                    rows = [row for batch in stream for row in batch.rows]
                 finally:
+                    stream.close()
                     context.tracker.exit()
-                context.record(self._store.name, probe)
-                for row in probe.rows:
+                context.record(self._store.name, stream.metrics)
+                for row in rows:
                     if constant_items and any(
-                        row.get(column) != value for column, value in constant_items
+                        row[index] != value for index, value in constant_items
                     ):
                         continue
-                    if equalities and any(
-                        row.get(left) != row.get(right) for left, right in equalities
-                    ):
+                    if equalities and any(row[i] != row[j] for i, j in equalities):
                         continue
-                    right_binding = {
-                        variable: row.get(column) for variable, column in variable_columns
-                    }
-                    if any(
-                        left_row[position] != right_binding[variable]
-                        for variable, position in shared_positions.items()
-                    ):
+                    if any(left_row[i] != row[j] for i, j in shared):
                         continue
-                    full = builder.add(
-                        left_row
-                        + tuple(right_binding.get(variable) for variable in new_variables)
-                    )
+                    full = builder.add(left_row + pick_new(row))
                     if full is not None:
                         context.runtime_rows_processed += len(full)
                         yield full

@@ -12,12 +12,12 @@ minimal interface to the ESTOCADA mediator:
 * a micro-IR of **store requests** (:class:`ScanRequest`,
   :class:`LookupRequest`, :class:`JoinRequest`, :class:`SearchRequest`)
   that delegated sub-queries are compiled into;
-* two entry points: :meth:`Store.execute` returns a uniform **result**
-  carrying rows (as dictionaries) plus the execution metrics that the demo
-  scenario surfaces ("performance statistics split across the underlying DMS
-  and ESTOCADA's runtime"), and :meth:`Store.execute_batches` streams the
-  same answer as tuple :class:`~repro.runtime.batch.RowBatch` objects — the
-  path every delegated request of the runtime takes.
+* one request path: :meth:`Store.execute_batches` streams a request's
+  answer as tuple :class:`~repro.runtime.batch.RowBatch` objects plus the
+  execution metrics that the demo scenario surfaces ("performance
+  statistics split across the underlying DMS and ESTOCADA's runtime");
+  :meth:`Store.execute` is the whole-row convenience built on it, returning
+  the rows as dictionaries.
 
 Each concrete store also exposes simple statistics (cardinalities, distinct
 counts) consumed by the cost model.
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import islice
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.terms import Parameter
@@ -49,6 +51,10 @@ __all__ = [
     "COMPARATORS",
     "DEFAULT_STREAM_BATCH_SIZE",
     "batch_tuples",
+    "dict_reader",
+    "hash_join",
+    "select",
+    "union_columns",
     "bind_parameters",
     "bind_value",
 ]
@@ -220,23 +226,21 @@ class StoreMetrics:
     segments_skipped: int = 0
     rows_decoded: int = 0
 
-    def merge(self, other: "StoreMetrics") -> "StoreMetrics":
-        """Combine the metrics of two requests (used by composite requests)."""
-        return StoreMetrics(
-            rows_scanned=self.rows_scanned + other.rows_scanned,
-            rows_returned=self.rows_returned + other.rows_returned,
-            index_lookups=self.index_lookups + other.index_lookups,
-            partitions_used=self.partitions_used + other.partitions_used,
-            partitions_pruned=self.partitions_pruned + other.partitions_pruned,
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            replica_attempts=self.replica_attempts + other.replica_attempts,
-            replica_retries=self.replica_retries + other.replica_retries,
-            replica_hedges=self.replica_hedges + other.replica_hedges,
-            replica_failovers=self.replica_failovers + other.replica_failovers,
-            segments_scanned=self.segments_scanned + other.segments_scanned,
-            segments_skipped=self.segments_skipped + other.segments_skipped,
-            rows_decoded=self.rows_decoded + other.rows_decoded,
-        )
+    def absorb(self, other: "StoreMetrics") -> None:
+        """Add ``other``'s counters into this object, in place."""
+        self.rows_scanned += other.rows_scanned
+        self.rows_returned += other.rows_returned
+        self.index_lookups += other.index_lookups
+        self.partitions_used += other.partitions_used
+        self.partitions_pruned += other.partitions_pruned
+        self.elapsed_seconds += other.elapsed_seconds
+        self.replica_attempts += other.replica_attempts
+        self.replica_retries += other.replica_retries
+        self.replica_hedges += other.replica_hedges
+        self.replica_failovers += other.replica_failovers
+        self.segments_scanned += other.segments_scanned
+        self.segments_skipped += other.segments_skipped
+        self.rows_decoded += other.rows_decoded
 
 
 @dataclass(slots=True)
@@ -261,25 +265,114 @@ def batch_tuples(
 ):
     """Chunk row tuples into ``RowBatch`` objects, stopping at ``limit``.
 
-    The shared emit loop of every native ``_execute_batches`` implementation:
-    accumulate rows, yield a full batch at ``batch_size``, stop pulling from
-    ``tuples`` once ``limit`` rows were produced, and flush the short tail.
+    The shared emit loop of every store's ``_execute_batches``: yield full
+    batches of ``batch_size`` rows and a short tail, and pull no row from
+    ``tuples`` past the ``limit``-th.
     """
     from repro.runtime.batch import RowBatch
 
     columns = tuple(columns)
-    chunk: list[tuple] = []
-    produced = 0
-    for row in tuples:
-        chunk.append(row)
-        produced += 1
-        if limit is not None and produced >= limit:
-            break
-        if len(chunk) >= batch_size:
-            yield RowBatch(columns, chunk)
-            chunk = []
-    if chunk:
+    rows = iter(tuples) if limit is None else islice(tuples, limit)
+    while chunk := list(islice(rows, batch_size)):
         yield RowBatch(columns, chunk)
+
+
+def union_columns(rows: Iterable[Mapping[str, object]]) -> tuple[str, ...]:
+    """First-seen-order union of the keys of ragged rows."""
+    seen: dict[str, None] = {}
+    for row in rows:
+        seen.update(dict.fromkeys(row))
+    return tuple(seen)
+
+
+def dict_reader(
+    columns: Sequence[str], known: Iterable[str] = ()
+) -> Callable[[Mapping[str, object]], tuple]:
+    """A row-dict → tuple transform over ``columns`` (None for absent keys).
+
+    When every column is in ``known`` (a table's declared columns, present in
+    each of its rows) the transform is a plain ``itemgetter``.
+    """
+    columns = tuple(columns)
+    if not columns:
+        return lambda row: ()
+    known = set(known)
+    if all(column in known for column in columns):
+        if len(columns) == 1:
+            only = columns[0]
+            return lambda row: (row[only],)
+        return itemgetter(*columns)
+    return lambda row: tuple(map(row.get, columns))
+
+
+def select(
+    rows: Iterable[Mapping[str, object]],
+    predicates: Sequence[Predicate],
+    read: Callable[[Mapping[str, object]], tuple],
+) -> Iterator[tuple]:
+    """``read(row)`` for each row satisfying every predicate (absent keys read None)."""
+    checks = tuple((p.column, COMPARATORS[p.op], p.value) for p in predicates)
+    if not checks:
+        return map(read, rows)
+    if len(checks) == 1:
+        ((column, comparator, value),) = checks
+        return (read(row) for row in rows if comparator(row.get(column), value))
+    return (
+        read(row)
+        for row in rows
+        if all(comparator(row.get(column), value) for column, comparator, value in checks)
+    )
+
+
+def hash_join(store: "Store", request: JoinRequest, columns: tuple[str, ...]):
+    """A store-side equi-join over ``store._tuples``, emitting ``columns`` tuples.
+
+    Shared by the join-capable stores, whose ``_tuples(request, columns)``
+    evaluates one sub-request to row tuples plus its metrics.  An output
+    column comes from the right side when only the right rows carry it, else
+    from the left side (the left wins a shared name; a column neither side
+    carries reads as None).  Both sides fetch their join keys first, then
+    the output columns they supply; the right side is hashed and no per-row
+    dict is built.
+    """
+    from repro.runtime.kernels import projection_kernel
+
+    if not request.on:
+        raise StoreError(
+            f"store {store.name!r}: a join requires at least one equality column pair"
+        )
+    left_columns = store.row_columns(request.left)
+    right_columns = store.row_columns(request.right)
+    from_right = tuple(
+        column for column in columns if column in right_columns and column not in left_columns
+    )
+    left_fetch = tuple(left for left, _ in request.on) + tuple(
+        column for column in columns if column not in from_right
+    )
+    right_fetch = tuple(right for _, right in request.on) + from_right
+    left_rows, metrics = _sub_tuples(store, request.left, left_fetch)
+    right_rows, right_metrics = _sub_tuples(store, request.right, right_fetch)
+    metrics.absorb(right_metrics)
+    metrics.rows_scanned += len(left_rows) + len(right_rows)
+    width = len(request.on)
+    build: dict[object, list[tuple]] = {}
+    for row in right_rows:
+        build.setdefault(row[0] if width == 1 else row[:width], []).append(row)
+    pick = projection_kernel(left_fetch + right_fetch, columns)
+    joined = (
+        pick(row + match)
+        for row in left_rows
+        for match in build.get(row[0] if width == 1 else row[:width], ())
+    )
+    return joined, metrics
+
+
+def _sub_tuples(store: "Store", request: StoreRequest, columns: tuple[str, ...]):
+    """A join side's row tuples, materialized (with its limit), plus its metrics."""
+    tuples, metrics = store._tuples(request, columns)
+    limit = getattr(request, "limit", None)
+    rows = list(tuples if limit is None else islice(tuples, limit))
+    return rows, metrics
 
 
 class _DurableSilence:
@@ -383,21 +476,11 @@ class StoreBatchStream:
             if self._finalized:
                 return
             self._finalized = True
-            self.metrics = StoreMetrics(
-                rows_scanned=self._base_metrics.rows_scanned,
-                rows_returned=self._returned,
-                index_lookups=self._base_metrics.index_lookups,
-                partitions_used=self._base_metrics.partitions_used,
-                partitions_pruned=self._base_metrics.partitions_pruned,
-                elapsed_seconds=self._elapsed,
-                replica_attempts=self._base_metrics.replica_attempts,
-                replica_retries=self._base_metrics.replica_retries,
-                replica_hedges=self._base_metrics.replica_hedges,
-                replica_failovers=self._base_metrics.replica_failovers,
-                segments_scanned=self._base_metrics.segments_scanned,
-                segments_skipped=self._base_metrics.segments_skipped,
-                rows_decoded=self._base_metrics.rows_decoded,
-            )
+            # The base metrics object belongs to this request alone.
+            metrics = self._base_metrics
+            metrics.rows_returned = self._returned
+            metrics.elapsed_seconds = self._elapsed
+            self.metrics = metrics
             self._store._note_request(self.metrics)
 
     def close(self) -> None:
@@ -442,11 +525,13 @@ class StoreBatchStream:
 class Store:
     """Abstract base class of every simulated DMS.
 
-    Subclasses implement :meth:`_execute` for the request kinds they support
-    and declare their profile via :meth:`capabilities`.  The public
-    :meth:`execute` wrapper adds timing and cumulative per-store counters used
-    by the demo's performance reporting; :meth:`execute_batches` is the
-    batched path used by the streaming runtime.
+    Subclasses implement one request evaluator, :meth:`_execute_batches`,
+    covering every request kind they support, name the columns of their
+    collections in :meth:`_collection_columns`, and declare their profile
+    via :meth:`capabilities`.  :meth:`execute_batches` wraps the evaluator in
+    a :class:`StoreBatchStream` (timing and cumulative per-store counters
+    used by the demo's performance reporting); :meth:`execute` collects that
+    stream into whole-row dictionaries.
 
     Stores are **thread-safe for request execution**: requests carry their own
     per-request metrics, cumulative counters are folded in under a lock, and
@@ -493,31 +578,27 @@ class Store:
         """Basic per-column statistics (count, distinct) for the cost model."""
         raise NotImplementedError
 
-    def _execute(self, request: StoreRequest) -> StoreResult:
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        """Every column the rows of ``collection`` can carry, in a stable order."""
         raise NotImplementedError
 
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
     ):
-        """Native-batch counterpart of :meth:`_execute`.
+        """Evaluate ``request``: the store's one request path.
 
         Returns an iterator of :class:`~repro.runtime.batch.RowBatch` objects
-        (schema = ``columns``) plus the request's base metrics
-        (``rows_returned`` and ``elapsed_seconds`` are filled in by the
-        :class:`StoreBatchStream` wrapper as batches are pulled).  The metrics
-        object may keep being filled in while the iterator runs (router
-        stores only know their per-partition accounting at the end); the
-        wrapper reads it after exhaustion.
-
-        The default adapts :meth:`_execute`, so every store serves batch
-        requests out of the box; the concrete simulators override this to
-        build row tuples straight from their internal representation,
-        skipping the per-row dict copy entirely.
+        (schema = ``columns``, built straight from the store's internal
+        representation) plus the request's base metrics (``rows_returned``
+        and ``elapsed_seconds`` are filled in by the :class:`StoreBatchStream`
+        wrapper as batches are pulled).  The metrics object may keep being
+        filled in while the iterator runs (router stores only know their
+        per-partition accounting at the end); the wrapper reads it after
+        exhaustion.  Request kinds the store cannot evaluate raise
+        :class:`~repro.errors.UnsupportedOperationError` (or the store's
+        access-pattern error) before any row is produced.
         """
-        result = self._execute(request)
-        columns = tuple(columns)
-        tuples = (tuple(row.get(column) for column in columns) for row in result.rows)
-        return batch_tuples(tuples, columns, batch_size), result.metrics
+        raise NotImplementedError
 
     # -- write path --------------------------------------------------------------
     def apply_delta(
@@ -541,9 +622,9 @@ class Store:
     def truncate_collection(self, collection: str) -> None:
         """Drop every row of ``collection``, keeping its schema and indexes.
 
-        The recompute fallback of fragment maintenance
-        (``REPRO_INCREMENTAL_MAINTENANCE=0``) truncates and re-materializes
-        instead of propagating deltas.
+        Migration rollback calls it to empty a half-built target collection.
+        Fragment maintenance never truncates: its recompute fallback applies
+        one diff through :meth:`apply_delta`.
         """
         raise self._reject("truncation")
 
@@ -589,12 +670,6 @@ class Store:
         backing = self._durable
         if backing is None:
             return None
-        from repro.stores.segment.backing import segment_scan_enabled
-
-        if not segment_scan_enabled():
-            # Scans are not served from segments, so pruning never happens;
-            # pricing by the pruned fraction would undercost the full scan.
-            return None
         return backing.scan_fraction(collection, bounds)
 
     # Subclass protocol: a store that opts into durability calls
@@ -628,22 +703,48 @@ class Store:
         backing = self._durable
         if backing is None or not isinstance(request, ScanRequest):
             return None
-        from repro.stores.segment.backing import segment_scan_enabled
-
-        if not segment_scan_enabled() or not backing.has_segments(request.collection):
+        if not backing.has_segments(request.collection):
             return None
         return backing
 
     # -- public API -------------------------------------------------------------
     def execute(self, request: StoreRequest) -> StoreResult:
-        """Execute a request, recording timing and cumulative metrics."""
-        started = time.perf_counter()
-        interruptible_sleep(self._latency)
-        result = self._execute(request)
-        result.metrics.elapsed_seconds = time.perf_counter() - started
-        result.metrics.rows_returned = len(result.rows)
-        self._note_request(result.metrics)
-        return result
+        """Execute a request and collect its rows as dictionaries.
+
+        The whole-row convenience over :meth:`execute_batches`: the rows
+        carry the request's projection, or else every column of the
+        collection(s) it reads (:meth:`row_columns`), with None where a
+        ragged row lacks one.
+        """
+        try:
+            columns = self.row_columns(request)
+        except StoreError:
+            # A request the store cannot evaluate: let the evaluator raise
+            # its own error (an unsupported kind outranks a missing name).
+            columns = ()
+        stream = self.execute_batches(request, columns)
+        rows = [dict(zip(columns, row)) for batch in stream for row in batch.rows]
+        return StoreResult(rows=rows, metrics=stream.metrics)
+
+    def row_columns(self, request: StoreRequest) -> tuple[str, ...]:
+        """The columns of ``request``'s whole rows.
+
+        The projection when the request has one; a join's left columns then
+        the right columns the left lacks (the left side wins a shared name);
+        a search adds the ``_score`` column.
+        """
+        projection = getattr(request, "projection", None)
+        if projection is not None:
+            return tuple(projection)
+        if isinstance(request, JoinRequest):
+            left = self.row_columns(request.left)
+            return left + tuple(
+                column for column in self.row_columns(request.right) if column not in left
+            )
+        columns = self._collection_columns(request.collection)
+        if isinstance(request, SearchRequest):
+            return columns + ("_score",)
+        return columns
 
     def execute_batches(
         self,
@@ -654,19 +755,18 @@ class Store:
         """Execute a request as a native :class:`~repro.runtime.batch.RowBatch` stream.
 
         ``columns`` fixes the schema of every yielded batch (columns the rows
-        lack are filled with ``None``, matching :meth:`execute`'s
-        ``row.get``).  This is the runtime's delegated-request path: the store
-        builds row tuples directly, so results stream to the operators without
-        a per-row dict round-trip.  The stream's metrics (and the store's
-        cumulative counters) are finalized when the stream is exhausted or
-        closed.
+        lack are filled with ``None``).  This is every store request's path:
+        the store builds row tuples directly, so results stream to the
+        operators without a per-row dict round-trip.  The stream's metrics
+        (and the store's cumulative counters) are finalized when the stream
+        is exhausted or closed.
         """
         return StoreBatchStream(self, request, columns, batch_size)
 
     def _note_request(self, metrics: StoreMetrics) -> None:
         """Fold one served request into the cumulative counters (thread-safe)."""
         with self._metrics_lock:
-            self._total_metrics = self._total_metrics.merge(metrics)
+            self._total_metrics.absorb(metrics)
             self._requests_served += 1
 
     def reset_metrics(self) -> None:
@@ -677,8 +777,11 @@ class Store:
 
     @property
     def total_metrics(self) -> StoreMetrics:
-        """Cumulative metrics across all requests served."""
-        return self._total_metrics
+        """Cumulative metrics across all requests served (a snapshot)."""
+        snapshot = StoreMetrics()
+        with self._metrics_lock:
+            snapshot.absorb(self._total_metrics)
+        return snapshot
 
     @property
     def requests_served(self) -> int:
@@ -690,14 +793,6 @@ class Store:
         return UnsupportedOperationError(
             f"store {self.name!r} ({self.capabilities().data_model}) does not support {operation}"
         )
-
-    @staticmethod
-    def _apply_projection(
-        rows: Iterable[Mapping[str, object]], projection: Sequence[str] | None
-    ) -> list[dict[str, object]]:
-        if projection is None:
-            return [dict(row) for row in rows]
-        return [{column: row.get(column) for column in projection} for row in rows]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name!r}>"

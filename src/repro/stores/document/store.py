@@ -10,21 +10,22 @@ discussing non-delegated operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DeltaError, SchemaError, StoreError, UnsupportedOperationError
 from repro.stores.base import (
+    COMPARATORS,
     JoinRequest,
     batch_tuples,
+    dict_reader,
+    union_columns,
     LookupRequest,
-    Predicate,
     ScanRequest,
     SearchRequest,
     Store,
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 
 __all__ = ["DocumentStore", "get_path", "flatten_document"]
@@ -244,66 +245,39 @@ class DocumentStore(Store):
         return value
 
     # -- execution ------------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, JoinRequest):
-            raise self._reject("joins")
-        if isinstance(request, SearchRequest):
-            raise self._reject("full-text search")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
-
     def _documents(self, collection: str) -> list[dict[str, object]]:
         documents = self._collections.get(collection)
         if documents is None:
             raise StoreError(f"collection {collection!r} does not exist in store {self.name!r}")
         return documents
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        documents = self._documents(request.collection)
-        metrics = StoreMetrics()
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        return union_columns(self._documents(collection))
 
-        candidate_positions: Sequence[int] | None = None
-        for predicate in request.predicates:
-            if predicate.op != "=":
-                continue
-            index = self._indexes.get((request.collection, predicate.column))
-            if index is None:
-                continue
-            positions = index.get(predicate.value, ())
-            metrics.index_lookups += 1
-            if candidate_positions is None or len(positions) < len(candidate_positions):
-                candidate_positions = positions
+    def _execute_batches(
+        self, request: StoreRequest, columns: Sequence[str], batch_size: int
+    ):
+        """Evaluate a scan or an ``_id`` lookup as row-tuple batches.
 
-        if candidate_positions is None:
-            candidates = documents
-            metrics.rows_scanned += len(documents)
-        else:
-            candidates = [documents[p] for p in candidate_positions]
-            metrics.rows_scanned += len(candidates)
-
-        selected = [
-            document
-            for document in candidates
-            if all(self._evaluate(document, predicate) for predicate in request.predicates)
-        ]
-        if request.limit is not None:
-            selected = selected[: request.limit]
-        rows = self._project(selected, request.projection)
-        return StoreResult(rows=rows, metrics=metrics)
-
-    def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Native batch scans over documents (no per-document dict copy).
-
-        Path predicates evaluate with the same ``get_path`` semantics as
-        :meth:`_execute_scan`; the emitted tuples read **top-level** keys
-        (``document.get``), exactly what the dict path's unprojected
-        ``dict(document)`` rows exposed to the runtime.
+        Predicates and output columns read documents by one rule,
+        :func:`get_path`: a dotted column is a path into nested documents.
         """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
+        if isinstance(request, JoinRequest):
+            raise self._reject("joins")
+        if isinstance(request, SearchRequest):
+            raise self._reject("full-text search")
+        columns = tuple(columns)
+        if isinstance(request, ScanRequest):
+            tuples, metrics = self._scan(request, columns)
+            return batch_tuples(tuples, columns, batch_size, request.limit), metrics
+        if isinstance(request, LookupRequest):
+            tuples, metrics = self._lookup(request, columns)
+            return batch_tuples(tuples, columns, batch_size), metrics
+        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
+
+    def _scan(
+        self, request: ScanRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
         documents = self._documents(request.collection)
         metrics = StoreMetrics()
         candidate_positions: Sequence[int] | None = None
@@ -320,34 +294,30 @@ class DocumentStore(Store):
 
         if candidate_positions is None:
             # No index narrows this scan: serve it from the durable segments
-            # when they exist.  Dotted-path predicates are flagged so the
-            # backing reconstructs documents for them instead of comparing
-            # top-level column positions.
+            # when they exist (nested paths read through ``get_path``).
             backing = self._durable_scan_source(request)
             if backing is not None:
-                return backing.scan_batches(
-                    request,
-                    columns,
-                    batch_size,
-                    evaluate=self._evaluate,
-                    dotted=True,
-                )
+                return backing.scan_tuples(request, columns, read=get_path)
             candidates: Sequence[dict[str, object]] = documents
         else:
             candidates = [documents[p] for p in candidate_positions]
         metrics.rows_scanned += len(candidates)
 
-        predicates = tuple(request.predicates)
-        wanted = tuple(columns)
-        selected = (
-            tuple(document.get(column) for column in wanted)
-            for document in candidates
-            if not predicates
-            or all(self._evaluate(document, predicate) for predicate in predicates)
+        checks = tuple(
+            (_reader(predicate.column), COMPARATORS[predicate.op], predicate.value)
+            for predicate in request.predicates
         )
-        return batch_tuples(selected, wanted, batch_size, request.limit), metrics
+        read = _row_reader(columns)
+        selected = (
+            read(document)
+            for document in candidates
+            if all(comparator(value_of(document), value) for value_of, comparator, value in checks)
+        )
+        return selected, metrics
 
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
+    def _lookup(
+        self, request: LookupRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
         # Documents are looked up by their "_id" path by convention.
         documents = self._documents(request.collection)
         metrics = StoreMetrics()
@@ -360,20 +330,18 @@ class DocumentStore(Store):
             else:
                 metrics.rows_scanned += len(documents)
                 rows.extend(d for d in documents if d.get("_id") == key)
-        return StoreResult(rows=self._project(rows, request.projection), metrics=metrics)
+        return map(_row_reader(columns), rows), metrics
 
-    @staticmethod
-    def _evaluate(document: Mapping[str, object], predicate: Predicate) -> bool:
-        value = get_path(document, predicate.column)
-        probe = {predicate.column: value}
-        return predicate.evaluate(probe)
 
-    @staticmethod
-    def _project(
-        documents: Sequence[Mapping[str, object]], projection: Sequence[str] | None
-    ) -> list[dict[str, object]]:
-        if projection is None:
-            return [dict(document) for document in documents]
-        return [
-            {path: get_path(document, path) for path in projection} for document in documents
-        ]
+def _reader(column: str) -> Callable[[Mapping[str, object]], object]:
+    """The :func:`get_path` value of ``column`` (a plain key read when undotted)."""
+    if "." in column:
+        return lambda document: get_path(document, column)
+    return lambda document: document.get(column)
+
+
+def _row_reader(columns: tuple[str, ...]) -> Callable[[Mapping[str, object]], tuple]:
+    """A document → tuple transform over ``columns`` by the :func:`get_path` rule."""
+    if any("." in column for column in columns):
+        return lambda document: tuple(get_path(document, column) for column in columns)
+    return dict_reader(columns)

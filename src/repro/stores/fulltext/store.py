@@ -16,6 +16,9 @@ from repro.errors import DeltaError, StoreError, UnsupportedOperationError
 from repro.stores.base import (
     JoinRequest,
     batch_tuples,
+    dict_reader,
+    select,
+    union_columns,
     LookupRequest,
     ScanRequest,
     SearchRequest,
@@ -23,7 +26,6 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 from repro.stores.fulltext.analyzer import Analyzer
 
@@ -154,23 +156,39 @@ class FullTextStore(Store):
         }
 
     # -- execution -----------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, SearchRequest):
-            return self._execute_search(request)
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        return union_columns(self._bucket(collection).documents)
+
+    def _execute_batches(
+        self, request: StoreRequest, columns: Sequence[str], batch_size: int
+    ):
+        """Evaluate a ranked search, or a scan of stored fields, as row-tuple batches."""
         if isinstance(request, LookupRequest):
             raise self._reject("key lookups")
         if isinstance(request, JoinRequest):
             raise self._reject("joins")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
+        columns = tuple(columns)
+        if isinstance(request, SearchRequest):
+            tuples, metrics = self._search(request, columns)
+        elif isinstance(request, ScanRequest):
+            bucket = self._bucket(request.collection)
+            metrics = StoreMetrics(rows_scanned=len(bucket.documents))
+            tuples = select(bucket.documents, request.predicates, dict_reader(columns))
+        else:
+            raise UnsupportedOperationError(
+                f"unknown request type {type(request).__name__}"
+            )
+        return batch_tuples(tuples, columns, batch_size, request.limit), metrics
 
-    def _execute_search(self, request: SearchRequest) -> StoreResult:
+    def _search(
+        self, request: SearchRequest, columns: tuple[str, ...]
+    ) -> tuple[list[tuple], StoreMetrics]:
+        """TF-IDF ranked hits, best first; ``_score`` is a column of each hit."""
         bucket = self._bucket(request.collection)
         metrics = StoreMetrics()
         query_tokens = self._analyzer.tokenize(request.text)
         if not query_tokens:
-            return StoreResult(rows=[], metrics=metrics)
+            return [], metrics
         total_documents = max(len(bucket.documents), 1)
         scores: dict[int, float] = {}
         for token in query_tokens:
@@ -185,46 +203,15 @@ class FullTextStore(Store):
                 length = bucket.lengths[position] or 1
                 term_frequency = frequency / length
                 scores[position] = scores.get(position, 0.0) + term_frequency * inverse_document_frequency
+        metrics.rows_scanned = len(scores)
         ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
         if request.limit is not None:
             ranked = ranked[: request.limit]
-        rows: list[dict[str, object]] = []
+        rows = []
         for position, score in ranked:
-            row = dict(bucket.documents[position])
-            row["_score"] = round(score, 6)
-            rows.append(row)
-        metrics.rows_scanned = len(scores)
-        return StoreResult(rows=rows, metrics=metrics)
-
-    def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Native batch scans over the stored documents.
-
-        Search requests keep the dict adapter (ranking materializes scored
-        copies anyway); plain field scans build row tuples directly, with the
-        predicate and metric semantics of :meth:`_execute_scan`.
-        """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
-        bucket = self._bucket(request.collection)
-        metrics = StoreMetrics(rows_scanned=len(bucket.documents))
-        predicates = tuple(request.predicates)
-        wanted = tuple(columns)
-        selected = (
-            tuple(document.get(column) for column in wanted)
-            for document in bucket.documents
-            if not predicates
-            or all(predicate.evaluate(document) for predicate in predicates)
-        )
-        return batch_tuples(selected, wanted, batch_size, request.limit), metrics
-
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        bucket = self._bucket(request.collection)
-        metrics = StoreMetrics(rows_scanned=len(bucket.documents))
-        rows = [
-            dict(document)
-            for document in bucket.documents
-            if all(predicate.evaluate(document) for predicate in request.predicates)
-        ]
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
+            document = bucket.documents[position]
+            score = round(score, 6)
+            rows.append(
+                tuple(score if c == "_score" else document.get(c) for c in columns)
+            )
+        return rows, metrics

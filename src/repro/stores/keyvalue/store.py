@@ -20,6 +20,7 @@ from repro.errors import (
     UnsupportedOperationError,
 )
 from repro.stores.base import (
+    COMPARATORS,
     JoinRequest,
     batch_tuples,
     LookupRequest,
@@ -29,7 +30,6 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 
 __all__ = ["KeyValueStore"]
@@ -209,14 +209,10 @@ class KeyValueStore(Store):
             }
         return dump
 
-    def _durable_scan_source(self, request: StoreRequest):
-        # Key-value semantics are last-write-wins by key; append-only segments
-        # would replay superseded puts, so scans never serve from the backing.
-        return None
-
     def segment_scan_fraction(self, collection: str, bounds) -> float | None:
-        # Scans never serve from segments here (see _durable_scan_source), so
-        # the cost model must not price them as if pruning applied.
+        # Key-value semantics are last-write-wins by key; append-only segments
+        # would replay superseded puts, so scans never serve from the backing
+        # and the cost model must not price them as if pruning applied.
         return None
 
     # -- store interface -----------------------------------------------------------------
@@ -246,113 +242,82 @@ class KeyValueStore(Store):
         bucket = self._collection(collection)
         if column == "key":
             return {"count": len(bucket), "distinct": len(bucket), "indexed": True}
-        distinct = set()
-        for value in bucket.values():
-            if isinstance(value, Mapping):
-                field_value = value.get(column)
-            else:
-                field_value = value if column == "value" else None
-            distinct.add(repr(field_value))
+        distinct = {repr(_field(None, value, column)) for value in bucket.values()}
         return {"count": len(bucket), "distinct": len(distinct), "indexed": False}
 
     # -- execution --------------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        fields: dict[str, None] = {"key": None}
+        for value in self._collection(collection).values():
+            fields.update(dict.fromkeys(value if isinstance(value, Mapping) else ("value",)))
+        return tuple(fields)
+
+    def _execute_batches(
+        self, request: StoreRequest, columns: Sequence[str], batch_size: int
+    ):
+        """Evaluate a key lookup, or a scan, as row-tuple batches.
+
+        An entry's columns: ``key`` is its key (shadowing any same-named
+        value field), a hash entry's fields come from the stored mapping, and
+        ``value`` is a scalar entry's payload.  A scan pinned to a key by
+        equality is served as a lookup of that key (its predicates, the key's
+        included, still filter the entry); any other scan needs a store built
+        with ``allow_scans``.
+        """
         if isinstance(request, JoinRequest):
             raise self._reject("joins")
         if isinstance(request, SearchRequest):
             raise self._reject("full-text search")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
-
-    def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Native batch lookups: tuples built straight from the stored entries.
-
-        Point lookups are this store's entire query surface, so they get the
-        native path (no ``_entry_to_row`` dict per hit, no projection copy);
-        scans — rare, debugging-console deployments only — fall back to the
-        dict adapter.  Column semantics match :meth:`_entry_to_row`: ``key``
-        is the lookup key (shadowing any same-named value field), hash fields
-        come from the stored mapping, and ``value`` is the scalar payload.
-        """
-        if not isinstance(request, LookupRequest):
-            return super()._execute_batches(request, columns, batch_size)
+        columns = tuple(columns)
+        if isinstance(request, LookupRequest):
+            keys, checks, limit = request.keys, (), None
+        elif isinstance(request, ScanRequest):
+            keys = next(
+                ((p.value,) for p in request.predicates if p.column == "key" and p.op == "="),
+                (),
+            )
+            checks = tuple(
+                (p.column, COMPARATORS[p.op], p.value) for p in request.predicates
+            )
+            limit = request.limit
+            if not keys and not self._allow_scans:
+                raise AccessPatternViolation(
+                    f"key-value store {self.name!r} requires the key to be bound; "
+                    f"cannot scan collection {request.collection!r}"
+                )
+        else:
+            raise UnsupportedOperationError(
+                f"unknown request type {type(request).__name__}"
+            )
         bucket = self._collection(request.collection)
         metrics = StoreMetrics()
-        wanted = tuple(columns)
+        if keys:
+            metrics.index_lookups += len(keys)
+            entries = [(key, bucket[key]) for key in keys if key in bucket]
+        else:
+            entries = list(bucket.items())
+            metrics.rows_scanned += len(entries)
         rows: list[tuple] = []
-        for key in request.keys:
-            metrics.index_lookups += 1
-            if key not in bucket:
+        for key, value in entries:
+            if checks and not all(
+                comparator(_field(key, value, column), operand)
+                for column, comparator, operand in checks
+            ):
                 continue
-            value = bucket[key]
             if isinstance(value, Mapping):
-                rows.append(
-                    tuple(key if c == "key" else value.get(c) for c in wanted)
-                )
+                rows.append(tuple(key if c == "key" else value.get(c) for c in columns))
             else:
-                rows.append(
-                    tuple(
-                        key if c == "key" else (value if c == "value" else None)
-                        for c in wanted
-                    )
-                )
+                rows.append(tuple(_field(key, value, c) for c in columns))
+        return batch_tuples(rows, columns, batch_size, limit), metrics
 
-        return batch_tuples(iter(rows), wanted, batch_size), metrics
 
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
-        bucket = self._collection(request.collection)
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        for key in request.keys:
-            metrics.index_lookups += 1
-            if key not in bucket:
-                continue
-            rows.append(self._entry_to_row(key, bucket[key]))
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
-
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        key_values = [
-            predicate.value
-            for predicate in request.predicates
-            if predicate.column == "key" and predicate.op == "="
-        ]
-        if key_values:
-            # A scan pinned to specific key(s) is really a lookup.
-            lookup = LookupRequest(
-                collection=request.collection,
-                keys=tuple(key_values),
-                projection=request.projection,
-            )
-            result = self._execute_lookup(lookup)
-            result.rows = [
-                row
-                for row in result.rows
-                if all(p.evaluate(row) for p in request.predicates if p.column != "key")
-            ]
-            return result
-        if not self._allow_scans:
-            raise AccessPatternViolation(
-                f"key-value store {self.name!r} requires the key to be bound; "
-                f"cannot scan collection {request.collection!r}"
-            )
-        bucket = self._collection(request.collection)
-        metrics = StoreMetrics(rows_scanned=len(bucket))
-        rows = [self._entry_to_row(key, value) for key, value in bucket.items()]
-        rows = [row for row in rows if all(p.evaluate(row) for p in request.predicates)]
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
-
-    @staticmethod
-    def _entry_to_row(key: object, value: object) -> dict[str, object]:
-        if isinstance(value, Mapping):
-            row = dict(value)
-            row["key"] = key
-            return row
-        return {"key": key, "value": value}
+def _field(key: object, value: object, column: str) -> object:
+    """One column of the entry ``key → value``."""
+    if column == "key":
+        return key
+    if isinstance(value, Mapping):
+        return value.get(column)
+    return value if column == "value" else None
 
 
 class _Missing:

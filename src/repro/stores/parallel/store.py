@@ -12,11 +12,16 @@ parallel system without spawning real worker processes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DeltaError, SchemaError, StoreError, UnsupportedOperationError
 from repro.stores.sharding import stable_hash
 from repro.stores.base import (
+    batch_tuples,
+    dict_reader,
+    hash_join,
+    select,
     JoinRequest,
     LookupRequest,
     ScanRequest,
@@ -25,7 +30,6 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 
 __all__ = ["ParallelStore"]
@@ -38,6 +42,8 @@ class _Dataset:
         self.partition_column = partition_column
         self.partitions: list[list[dict[str, object]]] = [[] for _ in range(partitions)]
         self.indexes: dict[str, list[dict[object, list[int]]]] = {}
+        # Every key an inserted row carried, first-seen order (rows are ragged).
+        self.columns: dict[str, None] = {}
 
     def partition_of(self, row: Mapping[str, object]) -> int:
         # A stable hash, not the per-process-salted builtin: partition
@@ -92,6 +98,7 @@ class ParallelStore(Store):
             if not isinstance(row, Mapping):
                 raise SchemaError("parallel store rows must be mappings")
             stored = dict(row)
+            target.columns.update(dict.fromkeys(stored))
             partition = target.partition_of(stored)
             position = len(target.partitions[partition])
             target.partitions[partition].append(stored)
@@ -198,22 +205,38 @@ class ParallelStore(Store):
         }
 
     # -- execution ---------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        return tuple(self._dataset(collection).columns)
+
+    def _execute_batches(
+        self, request: StoreRequest, columns: Sequence[str], batch_size: int
+    ):
+        """Evaluate a scan, lookup or store-side join as row-tuple batches."""
+        columns = tuple(columns)
+        tuples, metrics = self._tuples(request, columns)
+        limit = request.limit if isinstance(request, ScanRequest) else None
+        return batch_tuples(tuples, columns, batch_size, limit), metrics
+
+    def _tuples(
+        self, request: StoreRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
+        """Row tuples over ``columns`` for one request (limit not applied)."""
         if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
+            return self._scan(request, columns)
         if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
+            return self._lookup(request, columns)
         if isinstance(request, JoinRequest):
-            return self._execute_join(request)
+            return hash_join(self, request, columns)
         if isinstance(request, SearchRequest):
             raise self._reject("full-text search")
         raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
+    def _scan(
+        self, request: ScanRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
+        """Partition-by-partition scan; an equality index narrows each partition."""
         dataset = self._dataset(request.collection)
         metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-
         equality_columns = {
             predicate.column: predicate.value
             for predicate in request.predicates
@@ -222,7 +245,7 @@ class ParallelStore(Store):
         indexed_column = next(
             (column for column in equality_columns if column in dataset.indexes), None
         )
-
+        partitions: list[Sequence[dict[str, object]]] = []
         for partition_number, partition in enumerate(dataset.partitions):
             if not partition:
                 continue
@@ -231,21 +254,16 @@ class ParallelStore(Store):
                 index = dataset.indexes[indexed_column][partition_number]
                 positions = index.get(equality_columns[indexed_column], ())
                 metrics.index_lookups += 1
-                candidates = [partition[p] for p in positions]
-                metrics.rows_scanned += len(candidates)
-            else:
-                candidates = partition
-                metrics.rows_scanned += len(partition)
-            rows.extend(
-                row
-                for row in candidates
-                if all(predicate.evaluate(row) for predicate in request.predicates)
-            )
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
+                partition = [partition[p] for p in positions]
+            metrics.rows_scanned += len(partition)
+            partitions.append(partition)
+        rows = chain.from_iterable(partitions)
+        return select(rows, request.predicates, dict_reader(columns)), metrics
 
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
+    def _lookup(
+        self, request: LookupRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
+        """Route each key to its partition by the partition column's hash."""
         dataset = self._dataset(request.collection)
         column = dataset.partition_column
         if column is None:
@@ -254,38 +272,18 @@ class ParallelStore(Store):
             )
         metrics = StoreMetrics()
         rows: list[dict[str, object]] = []
+        index = dataset.indexes.get(column)
         for key in request.keys:
             partition_number = stable_hash(key) % len(dataset.partitions)
             partition = dataset.partitions[partition_number]
-            metrics.partitions_used = max(metrics.partitions_used, 1)
+            metrics.partitions_used = 1
             metrics.index_lookups += 1
-            index = dataset.indexes.get(column)
             if index is not None:
                 rows.extend(partition[p] for p in index[partition_number].get(key, ()))
             else:
                 metrics.rows_scanned += len(partition)
                 rows.extend(row for row in partition if row.get(column) == key)
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
-
-    def _execute_join(self, request: JoinRequest) -> StoreResult:
-        left_result = self._execute(request.left)
-        right_result = self._execute(request.right)
-        metrics = left_result.metrics.merge(right_result.metrics)
-        if not request.on:
-            raise StoreError("parallel join requires at least one equality column pair")
-        build: dict[tuple, list[dict[str, object]]] = {}
-        for row in right_result.rows:
-            key = tuple(row.get(right_column) for _, right_column in request.on)
-            build.setdefault(key, []).append(row)
-        joined: list[dict[str, object]] = []
-        for row in left_result.rows:
-            key = tuple(row.get(left_column) for left_column, _ in request.on)
-            for match in build.get(key, ()):
-                merged = dict(match)
-                merged.update(row)
-                joined.append(merged)
-        metrics.rows_scanned += len(left_result.rows) + len(right_result.rows)
-        return StoreResult(rows=self._apply_projection(joined, request.projection), metrics=metrics)
+        return map(dict_reader(columns), rows), metrics
 
     # -- map/reduce style helpers (used by examples and the advisor) ----------------------
     def map_partitions(

@@ -9,12 +9,14 @@ Postgres.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, StoreError, UnsupportedOperationError
 from repro.stores.base import (
-    COMPARATORS,
     batch_tuples,
+    dict_reader,
+    hash_join,
+    select,
     JoinRequest,
     LookupRequest,
     ScanRequest,
@@ -23,7 +25,6 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 from repro.stores.relational.table import Table
 
@@ -183,13 +184,28 @@ class RelationalStore(Store):
         }
 
     # -- execution ---------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        return self.table(collection).columns
+
+    def _execute_batches(
+        self, request: StoreRequest, columns: Sequence[str], batch_size: int
+    ):
+        """Evaluate a scan, lookup or store-side join as row-tuple batches."""
+        columns = tuple(columns)
+        tuples, metrics = self._tuples(request, columns)
+        limit = request.limit if isinstance(request, ScanRequest) else None
+        return batch_tuples(tuples, columns, batch_size, limit), metrics
+
+    def _tuples(
+        self, request: StoreRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
+        """Row tuples over ``columns`` for one request (limit not applied)."""
         if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
+            return self._scan(request, columns)
         if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
+            return self._lookup(request, columns)
         if isinstance(request, JoinRequest):
-            return self._execute_join(request)
+            return hash_join(self, request, columns)
         if isinstance(request, SearchRequest):
             raise self._reject("full-text search")
         raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
@@ -217,35 +233,9 @@ class RelationalStore(Store):
                 candidate_positions = positions
         return candidate_positions
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        table = self.table(request.collection)
-        metrics = StoreMetrics()
-        candidate_positions = self._index_candidates(table, request, metrics)
-        if candidate_positions is None:
-            rows = list(table.rows)
-            metrics.rows_scanned += len(rows)
-        else:
-            rows = [table.row_at(p) for p in candidate_positions]
-            metrics.rows_scanned += len(rows)
-
-        selected = [row for row in rows if all(p.evaluate(row) for p in request.predicates)]
-        if request.limit is not None:
-            selected = selected[: request.limit]
-        projected = self._apply_projection(selected, request.projection)
-        return StoreResult(rows=projected, metrics=metrics)
-
-    def _execute_batches(
-        self, request: StoreRequest, columns: Sequence[str], batch_size: int
-    ):
-        """Native batch scans: row tuples built straight from the heap.
-
-        Only scans take the native path (they are the hot delegated-request
-        shape); lookups and store-side joins fall back to the dict adapter.
-        Index selection (:meth:`_index_candidates`), predicate semantics,
-        limit and metrics match :meth:`_execute_scan`.
-        """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
+    def _scan(
+        self, request: ScanRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
         table = self.table(request.collection)
         metrics = StoreMetrics()
         candidate_positions = self._index_candidates(table, request, metrics)
@@ -255,34 +245,16 @@ class RelationalStore(Store):
             # provably excludes, which a heap walk cannot.
             backing = self._durable_scan_source(request)
             if backing is not None:
-                return backing.scan_batches(
-                    request,
-                    columns,
-                    batch_size,
-                    evaluate=lambda row, predicate: predicate.evaluate(row),
-                )
+                return backing.scan_tuples(request, columns)
             candidates: Sequence[dict[str, object]] = table.rows
         else:
             candidates = [table.row_at(p) for p in candidate_positions]
         metrics.rows_scanned += len(candidates)
+        return select(candidates, request.predicates, dict_reader(columns, table.columns)), metrics
 
-        checks = tuple(
-            (predicate.column, COMPARATORS[predicate.op], predicate.value)
-            for predicate in request.predicates
-        )
-        wanted = tuple(columns)
-        selected = (
-            tuple(row.get(column) for column in wanted)
-            for row in candidates
-            if not checks
-            or all(
-                comparator(row.get(column), value)
-                for column, comparator, value in checks
-            )
-        )
-        return batch_tuples(selected, wanted, batch_size, request.limit), metrics
-
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
+    def _lookup(
+        self, request: LookupRequest, columns: tuple[str, ...]
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
         table = self.table(request.collection)
         metrics = StoreMetrics()
         rows: list[dict[str, object]] = []
@@ -299,31 +271,6 @@ class RelationalStore(Store):
             if index is not None:
                 rows.extend(table.row_at(p) for p in index.lookup(key))
             else:
-                matching = [r for r in table.rows if r.get(column) == key]
+                rows.extend(r for r in table.rows if r.get(column) == key)
                 metrics.rows_scanned += len(table)
-                rows.extend(matching)
-        projected = self._apply_projection(rows, request.projection)
-        return StoreResult(rows=projected, metrics=metrics)
-
-    def _execute_join(self, request: JoinRequest) -> StoreResult:
-        left_result = self._execute(request.left)
-        right_result = self._execute(request.right)
-        metrics = left_result.metrics.merge(right_result.metrics)
-
-        # Hash join on the equality columns.
-        if not request.on:
-            raise StoreError("relational join requires at least one equality column pair")
-        build: dict[tuple, list[dict[str, object]]] = {}
-        for row in right_result.rows:
-            key = tuple(row.get(right_column) for _, right_column in request.on)
-            build.setdefault(key, []).append(row)
-        joined: list[dict[str, object]] = []
-        for row in left_result.rows:
-            key = tuple(row.get(left_column) for left_column, _ in request.on)
-            for match in build.get(key, ()):
-                merged = dict(match)
-                merged.update(row)
-                joined.append(merged)
-        metrics.rows_scanned += len(left_result.rows) + len(right_result.rows)
-        projected = self._apply_projection(joined, request.projection)
-        return StoreResult(rows=projected, metrics=metrics)
+        return map(dict_reader(columns, table.columns), rows), metrics

@@ -22,16 +22,11 @@ request, all bounded by the :class:`ReplicationPolicy`:
   stops the loser at its next cancellable wait (the same cooperative
   mechanism LIMIT cancellation uses).
 
-Batch-path note: the router deliberately keeps the default
-``execute_batches`` adapter (attempt → rows → batches) rather than forwarding
-a replica's live batch stream.  Fault atomicity *requires* materializing each
-attempt in-router before a single row escapes; the winning attempt's rows are
-then chunked into row-tuple batches once, and nothing downstream repacks
-them.
-
-Every attempt is materialized *inside* the router before any row reaches the
-consumer, so a retried or failed-over request can never leak partial rows —
-results are bag-identical to a fault-free run by construction, which is
+Each attempt collects the replica's row-tuple batches into a list *inside*
+the router before any row reaches the consumer, so a retried or failed-over
+request can never leak partial rows; the winning attempt's batches are then
+forwarded as they are, without repacking a row.  Results are
+bag-identical to a fault-free run by construction, which is
 exactly what the chaos differential suite asserts.  Per-request recovery
 activity (attempts / retries / hedges / failovers) is reported through
 :class:`~repro.stores.base.StoreMetrics` and surfaces in
@@ -59,8 +54,8 @@ from repro.errors import (
 from repro.stores.base import (
     Store,
     StoreCapabilities,
+    StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -400,6 +395,9 @@ class ReplicatedStore(Store):
     def column_statistics(self, collection: str, column: str) -> Mapping[str, object]:
         return self._on_any(lambda replica: replica.column_statistics(collection, column))
 
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        return self._on_any(lambda replica: replica._collection_columns(collection))
+
     def reset_metrics(self) -> None:
         """Zero the router's and every replica's cumulative counters."""
         super().reset_metrics()
@@ -411,10 +409,16 @@ class ReplicatedStore(Store):
         self,
         index: int,
         request: StoreRequest,
+        columns: tuple[str, ...],
+        batch_size: int,
         counters: _RequestCounters,
         cancel: "threading.Event | None" = None,
-    ) -> StoreResult:
+    ) -> tuple[list, StoreMetrics]:
         """One bounded-retry attempt run entirely against replica ``index``.
+
+        Returns the replica's batches, collected into a list, and the
+        replica stream's metrics; a failure partway through the stream
+        discards whatever it had produced.
 
         ``cancel`` is the hedge race's shared event: once it fires (or the
         surrounding execution's cancel event does — LIMIT early-exit), this
@@ -428,7 +432,8 @@ class ReplicatedStore(Store):
             counters.add(attempts=1, retries=1 if attempt else 0)
             started = time.perf_counter()
             try:
-                result = replica.execute(request)
+                stream = replica.execute_batches(request, columns, batch_size)
+                batches = list(stream)
             except _NON_FAILOVER_ERRORS:
                 # The request itself is at fault; the replica is fine.
                 raise
@@ -442,7 +447,7 @@ class ReplicatedStore(Store):
                 self.health.record_failure(index)
                 raise
             self.health.record_success(index, time.perf_counter() - started)
-            return result
+            return batches, stream.metrics
         raise last_error if last_error is not None else StoreError(
             f"replica {replica.name!r} failed without an error"
         )
@@ -456,7 +461,14 @@ class ReplicatedStore(Store):
             return floor
         return max(floor, percentile)
 
-    def _execute(self, request: StoreRequest) -> StoreResult:
+    def _execute_batches(
+        self, request: StoreRequest, columns: Sequence[str], batch_size: int
+    ):
+        """Serve the request from one replica, retrying and failing over.
+
+        The winning attempt's batches are forwarded, and its metrics carry
+        the request's replica attempt, retry, hedge and failover counts.
+        """
         # Imported lazily: repro.runtime.parallel reaches back into the
         # stores package through its operator imports, and importing it at
         # module scope would close an import cycle through stores/__init__.
@@ -467,11 +479,16 @@ class ReplicatedStore(Store):
         if self._policy.max_failovers is not None:
             budget = min(budget, self._policy.max_failovers + 1)
         counters = _RequestCounters()
+        wanted = tuple(columns)
+
+        def attempt(index: int, cancel: "threading.Event | None" = None):
+            return self._attempt(index, request, wanted, batch_size, counters, cancel)
+
         errors: list[BaseException] = []
-        result: StoreResult | None = None
+        result: tuple[list, StoreMetrics] | None = None
         try:
             result = self._select_and_execute(
-                run_hedged, request, order, budget, counters, errors
+                run_hedged, attempt, order, budget, counters, errors
             )
         finally:
             attempts, retries, hedges, failovers = counters.snapshot()
@@ -489,24 +506,29 @@ class ReplicatedStore(Store):
             raise AllReplicasFailedError(
                 f"store {self.name!r}: every replica failed ({details})"
             ) from (errors[-1] if errors else None)
-        result.metrics.replica_attempts += attempts
-        result.metrics.replica_retries += retries
-        result.metrics.replica_hedges += hedges
-        result.metrics.replica_failovers += failovers
-        return result
+        batches, metrics = result
+        metrics.replica_attempts += attempts
+        metrics.replica_retries += retries
+        metrics.replica_hedges += hedges
+        metrics.replica_failovers += failovers
+        return iter(batches), metrics
 
     def _select_and_execute(
         self,
         run_hedged,
-        request: StoreRequest,
+        attempt: Callable[..., tuple[list, StoreMetrics]],
         order: tuple[int, ...],
         budget: int,
         counters: _RequestCounters,
         errors: list[BaseException],
-    ) -> StoreResult | None:
-        """The failover loop: walk the preference order until a replica answers."""
+    ) -> tuple[list, StoreMetrics] | None:
+        """The failover loop: walk the preference order until a replica answers.
+
+        ``attempt(index, cancel=None)`` runs one bounded-retry attempt on
+        replica ``index``.
+        """
         position = 0
-        result: StoreResult | None = None
+        result: tuple[list, StoreMetrics] | None = None
         while position < budget and result is None:
             primary = order[position]
             backup = (
@@ -516,7 +538,7 @@ class ReplicatedStore(Store):
             )
             if backup is None:
                 try:
-                    result = self._attempt(primary, request, counters)
+                    result = attempt(primary)
                 except _NON_FAILOVER_ERRORS:
                     # Every replica would refuse this request identically:
                     # surface the original error class, don't fail over.
@@ -533,8 +555,8 @@ class ReplicatedStore(Store):
             else:
                 outcome = run_hedged(
                     [
-                        lambda cancel, i=primary: self._attempt(i, request, counters, cancel),
-                        lambda cancel, i=backup: self._attempt(i, request, counters, cancel),
+                        lambda cancel, i=primary: attempt(i, cancel),
+                        lambda cancel, i=backup: attempt(i, cancel),
                     ],
                     self._hedge_delay(),
                     name=f"{self.name}-hedge",

@@ -25,7 +25,7 @@ state into a fresh segment generation with rebuilt zone maps, starts an
 empty WAL, and commits both with one atomic MANIFEST rename; files of the
 old generation become garbage and are removed best-effort afterwards.
 
-**Scans.**  :meth:`scan_batches` serves a delegated scan straight from the
+**Scans.**  :meth:`scan_tuples` serves a delegated scan straight from the
 segments + tail: segments whose zone maps provably exclude a predicate are
 skipped without touching their column blocks, and equality predicates on
 dictionary-encoded columns are evaluated on the codes before decoding.
@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from repro.errors import DurabilityError
 from repro.runtime.batch import freeze_value
 from repro.runtime.kernels import extract_zone_bounds
-from repro.stores.base import COMPARATORS, StoreMetrics, batch_tuples
+from repro.stores.base import COMPARATORS, StoreMetrics, union_columns
 from repro.stores.segment.codec import ABSENT, decode_value, encode_value
 from repro.stores.segment.segments import (
     SegmentReader,
@@ -55,19 +55,10 @@ __all__ = [
     "DurableBacking",
     "DEFAULT_SEGMENT_ROWS",
     "default_segment_rows",
-    "segment_scan_enabled",
 ]
 
 MANIFEST_NAME = "MANIFEST"
 DEFAULT_SEGMENT_ROWS = 4096
-
-_OFF = frozenset(("0", "false", "no", "off"))
-
-
-def segment_scan_enabled() -> bool:
-    """Whether scans are served from segments (``REPRO_SEGMENT_SCAN``, default on)."""
-    return os.environ.get("REPRO_SEGMENT_SCAN", "").strip().lower() not in _OFF
-
 
 def default_segment_rows() -> int:
     """Rows per frozen segment (``REPRO_SEGMENT_ROWS``, else 4096)."""
@@ -379,7 +370,7 @@ class DurableBacking:
         """Freeze the first ``count`` tail rows: segment file first, then the
         freeze record — a crash between the two leaves only an orphan file."""
         chunk = state.tail[:count]
-        columns = state.columns or _union_columns(chunk)
+        columns = state.columns or union_columns(chunk)
         rows = [tuple(row.get(column, ABSENT) for column in columns) for row in chunk]
         filename = f"seg-{self._generation}-{self._segment_seq}.seg"
         self._segment_seq += 1
@@ -422,7 +413,7 @@ class DurableBacking:
             rows = info.get("rows", [])
             for start in range(0, len(rows), self._segment_rows):
                 chunk = rows[start : start + self._segment_rows]
-                columns = state.columns or _union_columns(chunk)
+                columns = state.columns or union_columns(chunk)
                 tuples = [
                     tuple(row.get(column, ABSENT) for column in columns) for row in chunk
                 ]
@@ -521,33 +512,31 @@ class DurableBacking:
                     surviving += segment.row_count
             return surviving / total
 
-    def scan_batches(
+    def scan_tuples(
         self,
         request,
         columns: Sequence[str],
-        batch_size: int,
-        *,
-        evaluate: Callable[[Mapping[str, object], object], bool],
-        dotted: bool = False,
-    ) -> tuple[Iterator, StoreMetrics]:
+        read: Callable[[Mapping[str, object], str], object] | None = None,
+    ) -> tuple[Iterator[tuple], StoreMetrics]:
         """Serve a delegated scan from segments + tail, skipping excluded segments.
 
-        ``evaluate(row_dict, predicate)`` must implement the store's native
-        predicate semantics; it is used for tail rows and for predicates the
-        positional fast path cannot express (``dotted=True`` marks stores
-        whose predicate columns may be paths into nested documents).
+        Yields one tuple over ``columns`` per matching row; the store applies
+        the request's limit.  ``read(row, column)`` is the store's column
+        rule when columns may be dotted paths into nested documents (None:
+        every column is a top-level key).  Path predicates and path columns
+        need the native row, so segments reconstruct it for them.  The
+        metrics fill in as the tuples are pulled.
         """
         metrics = StoreMetrics()
-        wanted = tuple(columns)
         with self._lock:
             state = self._collections.get(request.collection)
             segments = tuple(state.segments) if state is not None else ()
             tail = list(state.tail) if state is not None else []
             tombstones = Counter(state.tombstones) if state is not None else Counter()
         tuples = self._scan_tuples(
-            request, wanted, segments, tail, tombstones, metrics, evaluate, dotted
+            request, tuple(columns), segments, tail, tombstones, metrics, read
         )
-        return batch_tuples(tuples, wanted, batch_size, request.limit), metrics
+        return tuples, metrics
 
     def _scan_tuples(
         self,
@@ -557,14 +546,16 @@ class DurableBacking:
         tail: list[dict],
         tombstones: Counter,
         metrics: StoreMetrics,
-        evaluate: Callable[[Mapping[str, object], object], bool],
-        dotted: bool,
+        read: Callable[[Mapping[str, object], str], object] | None,
     ) -> Iterator[tuple]:
-        predicates = tuple(request.predicates)
-        positional = tuple(
-            p for p in predicates if not (dotted and "." in p.column)
-        )
-        pathful = tuple(p for p in predicates if dotted and "." in p.column)
+        if read is None:
+            read = dict.get
+            pathful: tuple = ()
+            nested_output = False
+        else:
+            pathful = tuple(p for p in request.predicates if "." in p.column)
+            nested_output = any("." in column for column in wanted)
+        positional = tuple(p for p in request.predicates if p not in pathful)
         bounds = extract_zone_bounds(positional)
         for segment in segments:
             if bounds and segment.excluded_by(bounds):
@@ -589,9 +580,12 @@ class DurableBacking:
             decoded = len(positions) if positions is not None else segment.row_count
             metrics.rows_decoded += decoded
             metrics.rows_scanned += decoded
-            if pathful or tombstones:
-                # Full-width reconstruction: nested-path predicates and
-                # tombstone matching need the native row.
+            if pathful or nested_output or tombstones:
+                # Full-width reconstruction: nested paths and tombstone
+                # matching need the native row.
+                tests = tuple(
+                    (p.column, COMPARATORS[p.op], p.value) for p in checks + pathful
+                )
                 for row in segment.rows(positions):
                     native = _reconstruct(segment.columns, row)
                     if tombstones:
@@ -599,10 +593,11 @@ class DurableBacking:
                         if tombstones.get(key, 0) > 0:
                             tombstones[key] -= 1
                             continue
-                    if all(evaluate(native, p) for p in checks) and all(
-                        evaluate(native, p) for p in pathful
+                    if all(
+                        comparator(read(native, column), value)
+                        for column, comparator, value in tests
                     ):
-                        yield tuple(native.get(column) for column in wanted)
+                        yield tuple(read(native, column) for column in wanted)
             else:
                 needed = set(wanted)
                 needed.update(p.column for p in checks)
@@ -625,15 +620,9 @@ class DurableBacking:
                     ):
                         yield tuple(column[position] for column in output)
         metrics.rows_scanned += len(tail)
+        tests = tuple(
+            (p.column, COMPARATORS[p.op], p.value) for p in request.predicates
+        )
         for row in tail:
-            if all(evaluate(row, p) for p in predicates):
-                yield tuple(row.get(column) for column in wanted)
-
-
-def _union_columns(rows: Sequence[Mapping[str, object]]) -> tuple[str, ...]:
-    """First-seen-order union of top-level keys (the ragged-document schema)."""
-    seen: dict[str, None] = {}
-    for row in rows:
-        for key in row:
-            seen.setdefault(key, None)
-    return tuple(seen)
+            if all(comparator(read(row, column), value) for column, comparator, value in tests):
+                yield tuple(read(row, column) for column in wanted)

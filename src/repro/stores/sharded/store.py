@@ -46,7 +46,6 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 from repro.stores.sharding import ShardingSpec
 
@@ -326,16 +325,13 @@ class ShardedStore(Store):
         }
 
     # -- execution ---------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, SearchRequest):
-            return self._execute_search(request)
-        if isinstance(request, JoinRequest):
-            raise self._reject("store-side joins (the mediator joins shard results)")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        self._check_collection(collection)
+        columns: dict[str, None] = {}
+        for child in self._shards:
+            if collection in child.collections():
+                columns.update(dict.fromkeys(child._collection_columns(collection)))
+        return tuple(columns)
 
     def _targets_for_scan(self, request: ScanRequest) -> tuple[int, ...]:
         """Shards that can hold rows matching the scan's shard-key predicates."""
@@ -349,72 +345,53 @@ class ShardedStore(Store):
         ]
         return spec.shards_for_predicates(constraints)
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        self._check_collection(request.collection)
-        targets = self._targets_for_scan(request)
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        contacted = 0
-        for index in targets:
-            child = self._shards[index]
-            if request.collection not in child.collections():
-                continue
-            contacted += 1
-            result = child.execute(request)
-            metrics = metrics.merge(result.metrics)
-            rows.extend(result.rows)
-            if request.limit is not None and len(rows) >= request.limit:
-                break
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        metrics.partitions_used = contacted
-        metrics.partitions_pruned = len(self._shards) - contacted
-        return StoreResult(rows=rows, metrics=metrics)
-
     def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Route a scan and forward each child's native batches untouched.
+        """Route a request and forward each contacted child's batches untouched.
 
-        Every contacted shard serves its own :class:`StoreBatchStream`
-        (taking the child's native tuple path where it has one); the router
-        concatenates the batch streams without repacking a single row.
-        Pruning, limit handling and the contacted/pruned accounting match
-        :meth:`_execute_scan`.  Non-scan requests fall back to the dict
-        adapter (lookups route per key and stay point-shaped).
+        Every contacted shard serves its own :class:`StoreBatchStream`; the
+        router concatenates the streams without repacking a single row.
+        Scans contact the shards their shard-key predicates leave, lookups
+        route each key to its shard, searches contact every shard holding
+        the collection (hits concatenate in shard order).  A limit stops
+        the stream once reached; ``partitions_used``/``partitions_pruned``
+        count the shards contacted and skipped.
         """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
+        if isinstance(request, JoinRequest):
+            raise self._reject("store-side joins (the mediator joins shard results)")
+        if isinstance(request, SearchRequest) and not self.capabilities().supports_text_search:
+            raise self._reject("full-text search")
         self._check_collection(request.collection)
-        targets = self._targets_for_scan(request)
+        if isinstance(request, ScanRequest):
+            probes = [(index, request) for index in self._targets_for_scan(request)]
+        elif isinstance(request, LookupRequest):
+            probes = self._lookup_probes(request)
+        elif isinstance(request, SearchRequest):
+            probes = [(index, request) for index in range(len(self._shards))]
+        else:
+            raise UnsupportedOperationError(
+                f"unknown request type {type(request).__name__}"
+            )
+        probes = [
+            (index, probe)
+            for index, probe in probes
+            if request.collection in self._shards[index].collections()
+        ]
         metrics = StoreMetrics()
         wanted = tuple(columns)
-        limit = request.limit
+        limit = getattr(request, "limit", None)
         shards = self._shards
-        total = len(shards)
-
-        def fold(child_metrics: StoreMetrics) -> None:
-            metrics.rows_scanned += child_metrics.rows_scanned
-            metrics.index_lookups += child_metrics.index_lookups
-            metrics.elapsed_seconds += child_metrics.elapsed_seconds
-            metrics.replica_attempts += child_metrics.replica_attempts
-            metrics.replica_retries += child_metrics.replica_retries
-            metrics.replica_hedges += child_metrics.replica_hedges
-            metrics.replica_failovers += child_metrics.replica_failovers
+        contacted: set[int] = set()
 
         def batches():
-            contacted = 0
             produced = 0
             try:
-                for index in targets:
-                    child = shards[index]
-                    if request.collection not in child.collections():
-                        continue
-                    contacted += 1
-                    stream = child.execute_batches(request, wanted, batch_size)
+                for index, probe in probes:
+                    contacted.add(index)
+                    stream = shards[index].execute_batches(probe, wanted, batch_size)
                     try:
                         for batch in stream:
                             if limit is not None and produced + len(batch) >= limit:
                                 batch = batch.take(limit - produced)
-                                produced += len(batch)
                                 if batch:
                                     yield batch
                                 return
@@ -422,77 +399,44 @@ class ShardedStore(Store):
                             yield batch
                     finally:
                         stream.close()
-                        fold(stream.metrics)
+                        metrics.absorb(stream.metrics)
             finally:
                 # Filled in as the stream ends (normally or abandoned); the
                 # wrapper folds the metrics object only after exhaustion.
-                metrics.partitions_used = contacted
-                metrics.partitions_pruned = total - contacted
+                metrics.partitions_used = len(contacted)
+                metrics.partitions_pruned = len(shards) - len(contacted)
 
         return batches(), metrics
 
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
-        """Route each key to its shard.
+    def _lookup_probes(self, request: LookupRequest) -> list[tuple[int, StoreRequest]]:
+        """One child request per key, routed to the key's shard.
 
         Lookup keys are by contract values of the *shard-key* column (a
         ``LookupRequest`` carries no column name, so there is nothing else to
         route by); the materialization path rejects lookup fragments keyed on
-        any other column.
+        any other column.  Children that need key access get a lookup, the
+        others an equality scan on the shard key.
         """
-        self._check_collection(request.collection)
         spec = self._specs.get(request.collection)
         if spec is None:
             raise StoreError(
                 f"collection {request.collection!r} has no sharding spec; "
                 "key lookups need one to route"
             )
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        contacted: set[int] = set()
+        probes: list[tuple[int, StoreRequest]] = []
         for key in request.keys:
             index = spec.route(key)
-            contacted.add(index)
-            child = self._shards[index]
-            if request.collection not in child.collections():
-                continue
-            if child.capabilities().requires_key_lookup:
+            if self._shards[index].capabilities().requires_key_lookup:
                 probe: StoreRequest = LookupRequest(
-                    collection=request.collection,
-                    keys=(key,),
-                    projection=request.projection,
+                    collection=request.collection, keys=(key,)
                 )
             else:
                 probe = ScanRequest(
                     collection=request.collection,
                     predicates=(Predicate(spec.shard_key, "=", key),),
-                    projection=request.projection,
                 )
-            result = child.execute(probe)
-            metrics = metrics.merge(result.metrics)
-            rows.extend(result.rows)
-        metrics.partitions_used = len(contacted)
-        metrics.partitions_pruned = len(self._shards) - len(contacted)
-        return StoreResult(rows=rows, metrics=metrics)
-
-    def _execute_search(self, request: SearchRequest) -> StoreResult:
-        if not self.capabilities().supports_text_search:
-            raise self._reject("full-text search")
-        self._check_collection(request.collection)
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        contacted = 0
-        for child in self._shards:
-            if request.collection not in child.collections():
-                continue
-            contacted += 1
-            result = child.execute(request)
-            metrics = metrics.merge(result.metrics)
-            rows.extend(result.rows)
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        metrics.partitions_used = contacted
-        metrics.partitions_pruned = len(self._shards) - contacted
-        return StoreResult(rows=rows, metrics=metrics)
+            probes.append((index, probe))
+        return probes
 
     def _check_collection(self, collection: str) -> None:
         if collection not in self.collections():

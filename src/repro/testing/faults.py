@@ -34,7 +34,7 @@ from typing import Iterator, Mapping, Sequence
 from repro.errors import SimulatedCrashError, StoreCrashedError, TransientStoreError
 from repro.runtime.batch import RowBatch
 from repro.runtime.parallel import interruptible_sleep
-from repro.stores.base import Store, StoreRequest, StoreResult
+from repro.stores.base import Store, StoreRequest
 
 __all__ = ["FaultProfile", "FaultInjector", "DiskFaultProfile", "DiskFaultInjector"]
 
@@ -377,18 +377,8 @@ class FaultInjector(Store):
             raise TransientStoreError(f"request to store {self.name!r} was cancelled")
 
     # -- execution -------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        decision = self._decide()
-        self._apply_pre_faults(decision)
-        result = self._inner._execute(request)
-        if decision.mid_stream_after is not None and len(result.rows) > decision.mid_stream_after:
-            # The store did the work but the response died partway through;
-            # the caller must retry (and must tolerate the duplicate work).
-            raise TransientStoreError(
-                f"store {self.name!r} lost the response after "
-                f"{decision.mid_stream_after} rows"
-            )
-        return result
+    def _collection_columns(self, collection: str) -> tuple[str, ...]:
+        return self._inner._collection_columns(collection)
 
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
@@ -401,7 +391,11 @@ class FaultInjector(Store):
         return batches, metrics
 
     def _truncate(self, batches: Iterator[RowBatch], after: int) -> Iterator[RowBatch]:
-        """Serve exactly ``after`` rows, then lose the stream (if it has more)."""
+        """Serve exactly ``after`` rows, then lose the stream (if it has more).
+
+        The store did the work but the response died partway through; the
+        caller must retry (and must tolerate the duplicate work).
+        """
         served = 0
         for batch in batches:
             if not batch:

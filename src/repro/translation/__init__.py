@@ -14,17 +14,5 @@ __all__ = [
     "resolve_atoms",
     "order_atoms",
     "group_for_delegation",
-    "Planner",
-    "PhysicalPlan",
 ]
 
-
-def __getattr__(name: str):
-    # Lazy import: the planner pulls in the plan IR package, whose logical
-    # builder imports repro.translation.grouping — importing it eagerly here
-    # would close an import cycle during package initialization.
-    if name in ("Planner", "PhysicalPlan"):
-        from repro.translation import planner
-
-        return getattr(planner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,8 @@ from repro.stores import (
     RelationalStore,
     ScanRequest,
 )
-from repro.translation import Planner, group_for_delegation, order_atoms, resolve_atoms
+from repro.translation import group_for_delegation, order_atoms, resolve_atoms
+from repro.translation.planner import Planner
 
 
 def _simple_view(name, relation, arity, columns):

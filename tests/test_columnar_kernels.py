@@ -48,10 +48,11 @@ from repro.stores import (
     DocumentStore,
     FullTextStore,
     KeyValueStore,
+    ParallelStore,
     RelationalStore,
     ShardedStore,
 )
-from repro.stores.base import LookupRequest, Predicate, ScanRequest
+from repro.stores.base import JoinRequest, LookupRequest, Predicate, ScanRequest, SearchRequest
 from repro.stores.sharding import ShardingSpec
 
 
@@ -146,17 +147,20 @@ class TestKernels:
         )
         assert kernel([(0, "y"), (2, "x"), (2, "y"), (None, "y")]) == [(2, "y")]
 
-    def test_projection_kernel_fills_missing_with_none(self):
-        transform = projection_kernel(("a", "b"), ("b", "missing"))
-        assert transform((1, 2)) == (2, None)
+    def test_projection_kernel_rejects_missing_column(self):
+        assert projection_kernel(("a", "b"), ("b", "a"))((1, 2)) == (2, 1)
+        with pytest.raises(ExecutionError, match="'missing'"):
+            projection_kernel(("a", "b"), ("b", "missing"))
 
     def test_key_kernel_single_column_uses_bare_scalars(self):
         keys = key_kernel(("a", "b"), ("b",))([(1, "x"), (2, "y")])
         assert keys == ["x", "y"]
 
     def test_key_kernel_multi_column_and_missing(self):
-        keys = key_kernel(("a", "b"), ("b", "missing"))([(1, "x")])
-        assert keys == [("x", None)]
+        keys = key_kernel(("a", "b"), ("b", "a"))([(1, "x")])
+        assert keys == [("x", 1)]
+        with pytest.raises(ExecutionError, match="'missing'"):
+            key_kernel(("a", "b"), ("b", "missing"))
 
     def test_output_stage_preserves_computed_extras(self):
         # Aggregation outputs are claimed by name and ride along unchanged,
@@ -312,6 +316,52 @@ class TestStoreBatchStreams:
         )
         assert pruned.partitions_used == 1
         assert pruned.partitions_pruned == 3
+
+    def test_parallel_scans_lookups_and_joins(self):
+        store = ParallelStore("spark", default_partitions=3)
+        store.create_dataset("v", partition_column="uid")
+        store.insert("v", [{"uid": i % 5, "sku": i} for i in range(30)])
+        store.create_index("v", "uid")
+        store.create_dataset("u", partition_column="uid")
+        store.insert("u", [{"uid": i, "name": f"u{i}"} for i in range(5)])
+        _assert_stream_equivalence(store, ScanRequest("v"), ("uid", "sku"))
+        _assert_stream_equivalence(
+            store, ScanRequest("v", predicates=(Predicate("uid", "=", 2),)), ("sku",)
+        )
+        _assert_stream_equivalence(store, LookupRequest("v", keys=(1, 9)), ("uid", "sku"))
+        join = JoinRequest(ScanRequest("v"), ScanRequest("u"), on=(("uid", "uid"),))
+        metrics = _assert_stream_equivalence(store, join, ("sku", "name", "uid"))
+        assert metrics.rows_returned == 30
+
+    def test_relational_store_side_join(self):
+        store = RelationalStore("pg")
+        store.create_table("t", ("a", "b"), primary_key=("a",))
+        store.insert("t", [{"a": i, "b": i % 3} for i in range(12)])
+        store.create_table("s", ("b", "c"))
+        store.insert("s", [{"b": i % 3, "c": i} for i in range(6)])
+        join = JoinRequest(
+            ScanRequest("t", predicates=(Predicate("a", "<", 6),)),
+            ScanRequest("s"),
+            on=(("b", "b"),),
+        )
+        metrics = _assert_stream_equivalence(store, join, ("a", "c", "missing"))
+        assert metrics.rows_returned == 12
+
+    def test_sharded_router_forwards_lookups_and_searches(self):
+        store = ShardedStore.homogeneous("shardpg", 4, RelationalStore)
+        store.set_sharding("t", ShardingSpec("a", 4))
+        for child in store.shard_stores():
+            child.create_table("t", ("a", "b"))
+        store.insert("t", [{"a": i, "b": i % 5} for i in range(40)])
+        metrics = _assert_stream_equivalence(store, LookupRequest("t", keys=(3, 7, 99)), ("b",))
+        assert metrics.rows_returned == 2
+        solr = ShardedStore.homogeneous("shardsolr", 2, FullTextStore)
+        solr.set_sharding("d", ShardingSpec("_id", 2))
+        for child in solr.shard_stores():
+            child.create_collection("d", indexed_fields=("title",))
+        solr.insert("d", [{"_id": i, "title": f"doc {i} shoes"} for i in range(8)])
+        metrics = _assert_stream_equivalence(solr, SearchRequest("d", "shoes"), ("_id", "_score"))
+        assert metrics.rows_returned == 8 and metrics.partitions_used == 2
 
     def test_abandoned_sharded_stream_keeps_partition_metrics(self):
         # A LIMIT early-exit abandons the router's stream mid-shard; the

@@ -883,13 +883,6 @@ class TestDurableDifferential:
                 )
 
     def test_durable_deployments_actually_touch_segments(self, durable_configurations):
-        from repro.stores.segment.backing import segment_scan_enabled
-
-        if not segment_scan_enabled():
-            # REPRO_SEGMENT_SCAN=0 keeps durability but answers from memory —
-            # equivalence is pinned by the property above, there is just no
-            # segment activity to assert here.
-            pytest.skip("REPRO_SEGMENT_SCAN=0 serves scans from memory")
         est, parallelism = durable_configurations["durable_serial"]
         result = est.query(
             "SELECT sku, price FROM purchases WHERE category = 'shoes'",

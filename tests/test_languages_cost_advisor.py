@@ -11,7 +11,7 @@ from repro.languages.docql import DocumentQuery
 from repro.languages.kv import KeyValueApi
 from repro.languages.sql import SqlTranslator, parse_select, tokenize
 from repro.datamodel import RelationalSchema, TableSchema
-from repro.translation import Planner
+from repro.translation.planner import Planner
 
 
 def _schema():

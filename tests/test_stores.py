@@ -233,6 +233,14 @@ class TestKeyValueStore:
         result = keyvalue.execute(ScanRequest("prefs", (Predicate("key", "=", 2),)))
         assert result.rows[0]["category"] == "toys"
 
+    def test_key_predicates_are_a_conjunction(self, keyvalue):
+        both = (Predicate("key", "=", 1), Predicate("key", "=", 2))
+        assert keyvalue.execute(ScanRequest("prefs", both)).rows == []
+        narrowed = (Predicate("key", "=", 2), Predicate("key", ">", 1))
+        assert len(keyvalue.execute(ScanRequest("prefs", narrowed)).rows) == 1
+        twice = (Predicate("key", "=", 2), Predicate("key", "=", 2))
+        assert len(keyvalue.execute(ScanRequest("prefs", twice)).rows) == 1
+
     def test_scans_allowed_when_configured(self):
         store = KeyValueStore("debug", allow_scans=True)
         store.put_many("c", {1: "a", 2: "b"})
@@ -391,3 +399,279 @@ class TestPredicates:
     def test_missing_column_compares_as_none(self):
         assert not Predicate("c", "=", 5).evaluate({})
         assert not Predicate("c", "<", 5).evaluate({})
+
+
+# -- one request path: every store against every request kind ----------------------
+
+WORDS = (
+    "alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
+    "golf", "hotel", "india", "juliet", "kilo", "lima",
+)
+T_ROWS = [{"id": i, "grp": i % 3, "name": word} for i, word in enumerate(WORDS)]
+G_ROWS = [{"grp": g, "label": f"g{g}"} for g in range(3)]
+PARTITIONS = 4
+
+
+def _relational(name="pg"):
+    store = RelationalStore(name)
+    store.create_table("t", ("id", "grp", "name"), primary_key=("id",))
+    store.insert("t", T_ROWS)
+    store.create_index("t", "grp")
+    store.create_table("g", ("grp", "label"), primary_key=("grp",))
+    store.insert("g", G_ROWS)
+    return store
+
+
+def _document():
+    store = DocumentStore("mongo")
+    store.insert("t", [{"_id": row["id"], **row} for row in T_ROWS])
+    store.create_index("t", "grp")
+    store.create_index("t", "_id")
+    return store
+
+
+def _keyvalue():
+    store = KeyValueStore("redis")
+    store.put_many("t", {row["id"]: dict(row) for row in T_ROWS})
+    return store
+
+
+def _fulltext(name="solr"):
+    store = FullTextStore(name)
+    store.create_collection("t", indexed_fields=("name",))
+    store.insert("t", T_ROWS)
+    return store
+
+
+def _parallel():
+    store = ParallelStore("spark", default_partitions=PARTITIONS)
+    store.create_dataset("t", partition_column="id")
+    store.insert("t", T_ROWS)
+    store.create_index("t", "grp")
+    store.create_index("t", "id")
+    store.create_dataset("g", partition_column="grp")
+    store.insert("g", G_ROWS)
+    return store
+
+
+def _sharded(child=RelationalStore):
+    from repro.stores import ShardedStore, ShardingSpec
+
+    store = ShardedStore.homogeneous(f"sharded-{child.__name__}", 2, child)
+    store.set_sharding("t", ShardingSpec("id", 2))
+    for shard in store.shard_stores():
+        if child is RelationalStore:
+            shard.create_table("t", ("id", "grp", "name"), primary_key=("id",))
+        else:
+            shard.create_collection("t", indexed_fields=("name",))
+    store.insert("t", T_ROWS)
+    store.create_index("t", "grp")
+    store.create_index("t", "id")
+    return store
+
+
+def _replicated():
+    from repro.stores import ReplicatedStore
+
+    return ReplicatedStore("replicated", [_relational("pg.0"), _relational("pg.1")])
+
+
+CONFORMANCE_STORES = {
+    "relational": _relational,
+    "document": _document,
+    "keyvalue": _keyvalue,
+    "fulltext": _fulltext,
+    "parallel": _parallel,
+    "sharded": _sharded,
+    "sharded_fulltext": lambda: _sharded(FullTextStore),
+    "replicated": _replicated,
+}
+
+REQUESTS = {
+    "scan": ScanRequest("t", (Predicate("name", "=", "echo"),)),
+    "indexed_scan": ScanRequest("t", (Predicate("grp", "=", 1),)),
+    "key_scan": ScanRequest("t", (Predicate("key", "=", 4),)),
+    "limit": ScanRequest("t", limit=5),
+    "lookup": LookupRequest("t", keys=(3, 99)),
+    "join": JoinRequest(
+        ScanRequest("t", (Predicate("grp", "=", 1),)), ScanRequest("g"), on=(("grp", "grp"),)
+    ),
+    "search": SearchRequest("t", "echo"),
+}
+
+ECHO, GROUP_ONE, THREE = {4}, {1, 4, 7, 10}, {3}
+UNSUPPORTED, BLOCKED = UnsupportedOperationError, AccessPatternViolation
+
+
+def _used_partitions(ids, partitions=PARTITIONS):
+    from repro.stores import stable_hash
+
+    return len({stable_hash(i) % partitions for i in ids})
+
+
+def _sharded_limit_scanned(store, limit=5):
+    """Rows scanned before the router's stream reaches ``limit`` (shards in order)."""
+    scanned = 0
+    for size in store.shard_sizes("t"):
+        scanned += size
+        if scanned >= limit:
+            break
+    return scanned
+
+
+def _sharded_fulltext_lookup_scanned(store):
+    """Each key is an equality scan of its own shard (full-text has no index)."""
+    spec, sizes = store.sharding("t"), store.shard_sizes("t")
+    return sizes[spec.route(3)] + sizes[spec.route(99)]
+
+
+# kind -> store -> (ids, rows_scanned, index_lookups), or the typed error.
+# A callable expectation is computed from the built store.  ``limit`` rows
+# are any 5 of the collection.
+EXPECTED = {
+    "scan": {
+        "relational": (ECHO, 12, 0), "document": (ECHO, 12, 0), "keyvalue": BLOCKED,
+        "fulltext": (ECHO, 12, 0), "parallel": (ECHO, 12, 0), "sharded": (ECHO, 12, 0),
+        "sharded_fulltext": (ECHO, 12, 0), "replicated": (ECHO, 12, 0),
+    },
+    "indexed_scan": {
+        "relational": (GROUP_ONE, 4, 1), "document": (GROUP_ONE, 4, 1),
+        "keyvalue": BLOCKED, "fulltext": (GROUP_ONE, 12, 0),
+        "parallel": lambda store: (GROUP_ONE, 4, _used_partitions(range(12))),
+        "sharded": (GROUP_ONE, 4, 2), "sharded_fulltext": (GROUP_ONE, 12, 0),
+        "replicated": (GROUP_ONE, 4, 1),
+    },
+    "key_scan": {"keyvalue": ({4}, 0, 1)},
+    "limit": {
+        "relational": (None, 12, 0), "document": (None, 12, 0), "keyvalue": BLOCKED,
+        "fulltext": (None, 12, 0), "parallel": (None, 12, 0),
+        "sharded": lambda store: (None, _sharded_limit_scanned(store), 0),
+        "sharded_fulltext": lambda store: (None, _sharded_limit_scanned(store), 0),
+        "replicated": (None, 12, 0),
+    },
+    "lookup": {
+        "relational": (THREE, 0, 2), "document": (THREE, 0, 2), "keyvalue": (THREE, 0, 2),
+        "fulltext": UNSUPPORTED, "parallel": (THREE, 0, 2), "sharded": (THREE, 1, 2),
+        "sharded_fulltext": lambda store: (THREE, _sharded_fulltext_lookup_scanned(store), 0),
+        "replicated": (THREE, 0, 2),
+    },
+    "join": {
+        "relational": (GROUP_ONE, 14, 1), "document": UNSUPPORTED, "keyvalue": UNSUPPORTED,
+        "fulltext": UNSUPPORTED,
+        "parallel": lambda store: (GROUP_ONE, 14, _used_partitions(range(12))),
+        "sharded": UNSUPPORTED, "sharded_fulltext": UNSUPPORTED, "replicated": (GROUP_ONE, 14, 1),
+    },
+    "search": {
+        "relational": UNSUPPORTED, "document": UNSUPPORTED, "keyvalue": UNSUPPORTED,
+        "fulltext": (ECHO, 1, 1), "parallel": UNSUPPORTED, "sharded": UNSUPPORTED,
+        "sharded_fulltext": (ECHO, 1, 1), "replicated": UNSUPPORTED,
+    },
+}
+
+CONFORMANCE_CASES = [
+    pytest.param(store, kind, wrapped, id=f"{store}-{kind}{'-faultinjector' if wrapped else ''}")
+    for kind, by_store in EXPECTED.items()
+    for store in by_store
+    for wrapped in (False, True)
+]
+
+
+class TestStoreConformance:
+    """``execute`` and ``execute_batches`` agree with a plain model of each request."""
+
+    @pytest.mark.parametrize("store_name, kind, wrapped", CONFORMANCE_CASES)
+    def test_request_kind(self, store_name, kind, wrapped):
+        from repro.testing import FaultInjector
+
+        store = CONFORMANCE_STORES[store_name]()
+        if wrapped:
+            store = FaultInjector(store)
+        request = REQUESTS[kind]
+        expected = EXPECTED[kind][store_name]
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                store.execute(request)
+            with pytest.raises(expected):
+                list(store.execute_batches(request, ("grp",)))
+            return
+        if callable(expected):
+            expected = expected(store)
+        ids, scanned, lookups = expected
+        id_column = "key" if store_name == "keyvalue" else "id"
+        columns = (id_column, "name", "label") if kind == "join" else (id_column, "grp", "name")
+
+        result = store.execute(request)
+        stream = store.execute_batches(request, columns, batch_size=4)
+        batches = list(stream)
+        assert all(batch.columns == columns for batch in batches)
+        assert all(len(batch) <= 4 for batch in batches)
+        batch_rows = [row for batch in batches for row in batch.rows]
+        whole_rows = [tuple(row[c] for c in columns) for row in result.rows]
+        assert sorted(batch_rows) == sorted(whole_rows)
+        assert all(tuple(row) == store.row_columns(request) for row in result.rows)
+        for metrics in (result.metrics, stream.metrics):
+            assert metrics.rows_returned == len(batch_rows)
+            assert (metrics.rows_scanned, metrics.index_lookups) == (scanned, lookups)
+
+        by_id = {row["id"]: row for row in T_ROWS}
+        if ids is None:
+            assert len(batch_rows) == request.limit
+            assert {row[0] for row in batch_rows} <= set(by_id)
+            ids = {row[0] for row in batch_rows}
+        assert sorted(row[0] for row in batch_rows) == sorted(ids)
+        for row in batch_rows:
+            source = by_id[row[0]]
+            if kind == "join":
+                assert row == (source["id"], source["name"], f"g{source['grp']}")
+            else:
+                assert row == (source["id"], source["grp"], source["name"])
+
+    def test_whole_rows_carry_every_collection_column(self):
+        store = _relational()
+        assert store.execute(ScanRequest("t", limit=1)).rows[0].keys() == {"id", "grp", "name"}
+        joined = store.execute(REQUESTS["join"]).rows[0]
+        assert list(joined) == ["id", "grp", "name", "label"]
+        hit = _fulltext().execute(REQUESTS["search"]).rows[0]
+        assert hit["name"] == "echo" and hit["_score"] > 0
+
+    def test_join_left_side_wins_a_shared_column(self):
+        store = _relational()
+        store.create_table("h", ("grp", "name"))
+        store.insert("h", [{"grp": row["grp"], "name": row["label"]} for row in G_ROWS])
+        request = JoinRequest(
+            ScanRequest("t", (Predicate("id", "=", 4),)), ScanRequest("h"), on=(("grp", "grp"),)
+        )
+        assert store.execute(request).rows == [{"id": 4, "grp": 1, "name": "echo"}]
+
+    def test_replicated_metrics_count_the_replica_attempt(self):
+        stream = _replicated().execute_batches(REQUESTS["lookup"], ("id",))
+        assert [row for batch in stream for row in batch.rows] == [(3,)]
+        assert stream.metrics.replica_attempts == 1
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_dotted_columns_read_nested_paths(self, durable, tmp_path):
+        """One rule, ``get_path``, for predicates, projections and batch columns."""
+        from repro.stores.segment import DurableBacking
+
+        store = DocumentStore("mongo")
+        if durable:
+            store.attach_durable(DurableBacking(str(tmp_path / "mongo"), segment_rows=2))
+        store.insert(
+            "carts",
+            [
+                {"_id": i, "user": {"uid": 10 + i, "city": city}}
+                for i, city in enumerate(("paris", "lyon", "nice", "lyon", "paris"))
+            ],
+        )
+        request = ScanRequest("carts", (Predicate("user.city", "=", "lyon"),))
+        assert store.execute(
+            ScanRequest("carts", request.predicates, projection=("user.city",))
+        ).rows == [{"user.city": "lyon"}] * 2
+        stream = store.execute_batches(request, ("_id", "user.uid", "user.city"))
+        assert sorted(row for batch in stream for row in batch.rows) == [
+            (1, 11, "lyon"),
+            (3, 13, "lyon"),
+        ]
+        assert (stream.metrics.segments_scanned > 0) == durable
+        whole = store.execute(ScanRequest("carts", limit=1)).rows[0]
+        assert whole == {"_id": 0, "user": {"uid": 10, "city": "paris"}}

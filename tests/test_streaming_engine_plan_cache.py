@@ -21,7 +21,7 @@ from repro.plan import (
 )
 from repro.runtime import BatchBuilder, ExecutionEngine, Operator, RowBatch
 from repro.stores import DocumentStore, KeyValueStore, RelationalStore, ScanRequest
-from repro.translation import Planner
+from repro.translation.planner import Planner
 
 
 def _simple_view(name, relation, arity, columns):
